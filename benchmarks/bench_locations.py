@@ -10,7 +10,7 @@ measurements from the CLI and writes ``BENCH_locations.json``.
 
 import pytest
 
-from repro.demand.bench import QUICK_BBOX, run_locations_bench
+from repro.demand.bench import run_locations_bench
 from repro.demand.locations import (
     LocationTable,
     bin_table,
@@ -19,6 +19,7 @@ from repro.demand.locations import (
     read_table_csv,
     write_table_csv,
 )
+from repro.demand.regions import QUICK_BBOX
 
 SEED = 0
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.demand.regions import QUICK_BBOX
 from repro.demand.synthetic import SyntheticMapConfig, generate_national_map
 from repro.geo.coords import LatLon
 from repro.geo.hexgrid import HexGrid
@@ -34,9 +35,7 @@ def bench_walker_propagation(benchmark):
 
 def bench_simulation_step(benchmark, national_model):
     """One full simulation step (propagate + visibility + assignment)."""
-    region = national_model.dataset.subset_bbox(
-        37.0, 38.5, -83.5, -81.0, "bench region"
-    )
+    region = national_model.dataset.subset_bbox(*QUICK_BBOX, "bench region")
     sim = ConstellationSimulation(GEN1_SHELLS[:1], region, oversubscription=20.0)
     clock = SimulationClock(duration_s=60.0, step_s=60.0)
     metrics = benchmark.pedantic(

@@ -623,7 +623,7 @@ def _cmd_bench_gate(args: argparse.Namespace) -> int:
 def _serve_table_and_dataset(args: argparse.Namespace):
     """The (table, dataset) pair the serve/bench-serve commands run on."""
     from repro.demand.locations import LocationTable, explode_cells_table
-    from repro.sim.bench import QUICK_BBOX
+    from repro.demand.regions import QUICK_BBOX
 
     model = _build_model(args.seed, args.grid_resolution)
     dataset = model.dataset

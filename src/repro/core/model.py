@@ -59,7 +59,7 @@ class StarlinkDivideModel:
     def figure1_distribution(self) -> Dict[str, float]:
         """Fig 1's annotated statistics of locations per cell."""
         return {
-            "cells": len(self.dataset.cells),
+            "cells": self.dataset.n_cells,
             "total_locations": self.dataset.total_locations,
             "p50": self.dataset.percentile(50),
             "p90": self.dataset.percentile(90),

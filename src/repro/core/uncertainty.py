@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from repro.core.capacity import SatelliteCapacityModel
 from repro.core.sizing import ConstellationSizer, DeploymentScenario
@@ -74,6 +73,9 @@ class SizingUncertainty:
         self._baseline = ConstellationSizer(dataset)
 
     def _sample_inputs(self) -> np.ndarray:
+        # scipy.stats takes ~0.3 s to import; only this method needs it.
+        from scipy.stats import qmc
+
         sampler = qmc.LatinHypercube(d=3, seed=self.seed)
         unit = sampler.random(self.samples)
         lows = np.array(

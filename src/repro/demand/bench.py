@@ -40,11 +40,8 @@ from repro.demand.locations import (
     write_locations_csv,
     write_table_csv,
 )
+from repro.demand.regions import QUICK_BBOX
 from repro.sim.bench import BenchTimings, _best_of, _git_commit
-
-#: Region used by ``--quick`` runs (the same Appalachian subset the
-#: simulation bench smoke-tests with).
-QUICK_BBOX = (37.0, 38.5, -83.5, -81.0)
 
 #: Rows benched through the CSV/NPZ stages at full scale. I/O cost is
 #: linear in rows; a bounded slice keeps the bench wall time dominated by

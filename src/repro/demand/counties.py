@@ -70,9 +70,12 @@ def sample_county_seats(
 
 
 def assign_to_nearest_seat(
-    points: Sequence[LatLon], seats: Sequence[LatLon]
+    lat_deg: np.ndarray, lon_deg: np.ndarray, seats: Sequence[LatLon]
 ) -> np.ndarray:
-    """Index of the nearest seat for each point (projected-plane metric)."""
+    """Index of the nearest seat for each point (projected-plane metric).
+
+    Points come as latitude and longitude arrays, in degrees.
+    """
     if not seats:
         raise DatasetError("no county seats to assign to")
     projection = EqualAreaProjection()
@@ -82,13 +85,11 @@ def assign_to_nearest_seat(
             np.array([s.lon_deg for s in seats], dtype=float),
         )
     )
-    if len(points) == 0:
+    lat_deg = np.asarray(lat_deg, dtype=float)
+    if lat_deg.size == 0:
         return np.zeros(0, dtype=int)
     point_xy = np.column_stack(
-        projection.forward_many(
-            np.array([p.lat_deg for p in points], dtype=float),
-            np.array([p.lon_deg for p in points], dtype=float),
-        )
+        projection.forward_many(lat_deg, np.asarray(lon_deg, dtype=float))
     )
     tree = cKDTree(seat_xy)
     _, indices = tree.query(point_xy)

@@ -183,11 +183,13 @@ class DemandDataset:
         """Per-cell :class:`ServiceCell` objects, materialized on demand."""
         if self._cells is None:
             self._cells = [
-                self._cell_at(i) for i in range(self._n_cells())
+                self._cell_at(i) for i in range(self.n_cells)
             ]
         return self._cells
 
-    def _n_cells(self) -> int:
+    @property
+    def n_cells(self) -> int:
+        """Number of cells, without materializing :attr:`cells`."""
         if self._cells is not None:
             return len(self._cells)
         return len(self._columns["cell_key"])
@@ -379,17 +381,19 @@ class DemandDataset:
         description: Optional[str] = None,
     ) -> "DemandDataset":
         """Dataset restricted to cells whose centers fall in the box."""
-        kept = [
-            c
-            for c in self.cells
-            if lat_min <= c.center.lat_deg <= lat_max
-            and lon_min <= c.center.lon_deg <= lon_max
-        ]
-        if not kept:
+        columns = self.to_columns()
+        lat = columns["center_lat"]
+        lon = columns["center_lon"]
+        kept = (lat_min <= lat) & (lat <= lat_max)
+        kept &= (lon_min <= lon) & (lon <= lon_max)
+        if not kept.any():
             raise DatasetError("bounding box contains no cells")
-        county_ids = {c.county_id for c in kept}
-        return DemandDataset(
-            cells=kept,
+        subset = {name: columns[name][kept] for name in DATASET_COLUMNS}
+        # The set's iteration order fixes the counties' dict order, so
+        # fill it in cell order.
+        county_ids = set(subset["county_id"].tolist())
+        return DemandDataset.from_columns(
+            subset,
             counties={i: self.counties[i] for i in county_ids},
             grid_resolution=self.grid_resolution,
             description=description or f"{self.description} (bbox subset)",
@@ -399,7 +403,7 @@ class DemandDataset:
         """Human-readable one-paragraph summary."""
         return (
             f"{self.description}: {self.total_locations:,} un(der)served "
-            f"locations across {self._n_cells():,} cells "
+            f"locations across {self.n_cells:,} cells "
             f"({len(self.counties):,} counties); "
             f"p50={self.percentile(50):.0f}, p90={self.percentile(90):.0f}, "
             f"p99={self.percentile(99):.0f}, "

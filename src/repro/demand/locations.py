@@ -650,7 +650,7 @@ def explode_cells_table(
     from repro.demand.fused import fused_explode_columns
 
     span = obs.span(
-        "locations.explode", cells=dataset._n_cells(), seed=seed
+        "locations.explode", cells=dataset.n_cells, seed=seed
     )
     with span:
         return fused_explode_columns(dataset, seed, span)

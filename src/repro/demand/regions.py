@@ -28,6 +28,11 @@ from repro.errors import CalibrationError
 from repro.geo.coords import LatLon
 from repro.geo.polygon import Polygon
 
+#: The Appalachian box around the national peak cell, as
+#: (lat_min, lat_max, lon_min, lon_max): the region ``--quick`` runs and
+#: the test suite cut from the national map with ``subset_bbox``.
+QUICK_BBOX = (37.0, 38.5, -83.5, -81.0)
+
 
 @dataclass(frozen=True)
 class StudyRegion:

@@ -307,13 +307,15 @@ class HexGrid:
                 if x_min <= cx <= x_max and y_min <= cy <= y_max:
                     yield CellId(self.resolution, q, r)
 
-    def cells_covering(self, polygon: "Polygon") -> List[CellId]:
-        """Cells whose centers fall inside ``polygon`` (H3 polyfill analogue).
+    def cells_covering(self, polygon: "Polygon") -> np.ndarray:
+        """Packed uint64 keys of the cells whose centers fall inside
+        ``polygon`` (H3 polyfill analogue).
 
         Vectorized: enumerates the candidate lattice block in bulk and
-        filters with :meth:`Polygon.contains_many`; produces exactly the
-        cells (in the same q-then-r order) the scalar
-        ``cells_in_bbox`` + ``contains`` loop did.
+        filters with :meth:`Polygon.contains_many`; yields exactly the
+        cells, in the same q-then-r order, of the scalar
+        ``cells_in_bbox`` + ``contains`` loop. Materialize objects with
+        :meth:`CellId.from_key` where needed.
         """
         lat_min, lat_max, lon_min, lon_max = polygon.bounds()
         if lat_min > lat_max or lon_min > lon_max:
@@ -345,10 +347,7 @@ class HexGrid:
         q, r = q[in_box], r[in_box]
         lat, lon = self.projection.inverse_many(cx[in_box], cy[in_box])
         inside = polygon.contains_many(lat, lon)
-        return [
-            CellId(self.resolution, int(qq), int(rr))
-            for qq, rr in zip(q[inside], r[inside])
-        ]
+        return pack_cell_keys(self.resolution, q[inside], r[inside])
 
     # -- internals ------------------------------------------------------------
 

@@ -25,11 +25,12 @@ import platform
 from typing import Dict, Optional
 
 from repro import obs
+from repro.demand.regions import QUICK_BBOX
 from repro.runner.grid import ParameterGrid
 from repro.runner.shm import ModelShare
 from repro.runner.sweep import SweepRunner
 from repro.runner.tasks import build_default_model
-from repro.sim.bench import QUICK_BBOX, _git_commit, _timed_samples
+from repro.sim.bench import _git_commit, _timed_samples
 
 #: Grid each dispatch mode executes (8 tasks, the Fig 2 quantities).
 BENCH_GRID = {"beamspread": (1, 2), "oversubscription": (10, 15, 20, 25)}
@@ -155,7 +156,7 @@ def run_sweep_bench(
                 "n_workers": n_workers,
                 "sweep": BENCH_SWEEP_ID,
                 "grid": {k: list(v) for k, v in BENCH_GRID.items()},
-                "cells": model.dataset._n_cells(),
+                "cells": model.dataset.n_cells,
                 "locations": model.dataset.total_locations,
             },
             "environment": {

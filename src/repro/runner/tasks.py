@@ -170,6 +170,7 @@ def sweep_timeline(
     metrics, so multi-day scenario fans ride the existing sweep
     runner (caching, parallel workers, telemetry merge) unchanged.
     """
+    from repro.demand.regions import QUICK_BBOX
     from repro.orbits.shells import GEN1_SHELLS
     from repro.timeline import (
         HandoverChurnModel,
@@ -178,7 +179,7 @@ def sweep_timeline(
         run_timeline,
     )
 
-    bbox = params.get("bbox", (37.0, 38.5, -83.5, -81.0))
+    bbox = params.get("bbox", QUICK_BBOX)
     dataset = model.dataset.subset_bbox(*bbox, "timeline sweep region")
     config = TimelineConfig(
         duration_s=float(params.get("duration_s", 3600.0)),

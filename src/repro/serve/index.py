@@ -167,7 +167,7 @@ def build_index(
     with obs.span(
         "serve.index.build",
         rows=len(table),
-        cells=len(dataset.cells),
+        cells=dataset.n_cells,
         scenario=params.scenario_id,
     ) as span:
         store = ShardStore.from_table(table, target_shard_rows)
@@ -179,15 +179,14 @@ def build_index(
         matrix = affordability.affordable_matrix(
             plan_list, params.income_share
         )
-        dataset_keys = np.array(
-            [c.cell.key for c in dataset.cells], dtype=np.uint64
-        )
+        columns = dataset.to_columns()
+        dataset_keys = columns["cell_key"]
         positions = store.cell_index_for_keys(dataset_keys)
         occupied = outcomes["counts"] > 0
         if (positions[occupied] < 0).any():
             missing = int(np.flatnonzero(occupied & (positions < 0))[0])
             raise ServeError(
-                f"dataset cell {dataset.cells[missing].cell.token} has "
+                f"dataset cell {int(dataset_keys[missing]):015x} has "
                 "demand but no table rows"
             )
         # Invert dataset order -> store order; every store cell must map
@@ -207,9 +206,7 @@ def build_index(
                 f"{int(cell_counts[bad])} locations, table has "
                 f"{int(table_counts[bad])}"
             )
-        cell_county = np.array(
-            [c.county_id for c in dataset.cells], dtype=np.int64
-        )[inverse]
+        cell_county = columns["county_id"][inverse]
         if len(store) and (
             cell_county[store.row_cell] != store.county_id
         ).any():

@@ -4,7 +4,9 @@ One request per line, one response per line. Requests are JSON objects
 with an ``op`` field; responses echo ``ok`` plus the engine's answer (and
 the answer's ``epoch``/``scenario_id``, so clients can detect snapshot
 swaps). Errors come back as ``{"ok": false, "error": ...}`` — a bad
-request never kills the connection.
+request never kills the connection. Server and client read lines of up
+to :data:`MAX_LINE_BYTES`; a longer request line is discarded and
+answered with an error.
 
 Ops:
 
@@ -36,6 +38,10 @@ from repro.errors import ReproError, ServeError
 from repro.serve.engine import QueryEngine
 from repro.serve.scenario import ScenarioParams
 
+#: Longest request or response line either side reads, in bytes. The
+#: national ``tiles`` answer is ~450 KB; asyncio's default is 64 KiB.
+MAX_LINE_BYTES = 16 * 1024 * 1024
+
 
 class ServeServer:
     """An asyncio TCP server wrapping one :class:`QueryEngine`."""
@@ -54,7 +60,7 @@ class ServeServer:
     async def start(self) -> "ServeServer":
         """Bind and start accepting connections (port 0 picks a free one)."""
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         obs.get_logger("serve").info(
@@ -84,8 +90,8 @@ class ServeServer:
         obs.registry().counter("serve.connections").inc()
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
                 started = time.perf_counter()
                 response = await self._dispatch_line(line)
@@ -101,8 +107,12 @@ class ServeServer:
             # stop() mid-await, which asyncio.streams reports noisily.
             writer.close()
 
-    async def _dispatch_line(self, line: bytes) -> Dict:
+    async def _dispatch_line(self, line: Optional[bytes]) -> Dict:
         try:
+            if line is None:
+                raise ServeError(
+                    f"request line exceeds {MAX_LINE_BYTES} bytes"
+                )
             request = json.loads(line)
             if not isinstance(request, dict):
                 raise ServeError("request must be a JSON object")
@@ -165,6 +175,25 @@ class ServeServer:
         raise ServeError(f"unknown op: {op!r}")
 
 
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next line (``b""`` at EOF), or None if it was too long.
+
+    A line over :data:`MAX_LINE_BYTES` is read through its newline and
+    dropped, so the next request on the connection starts clean.
+    """
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # EOF, maybe after an unterminated line
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+            oversized = True
+            continue
+        return None if oversized else line
+
+
 class ServeClient:
     """Minimal asyncio JSON-lines client (tests and the load generator)."""
 
@@ -183,7 +212,7 @@ class ServeClient:
 
     async def connect(self) -> None:
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=MAX_LINE_BYTES
         )
 
     async def close(self) -> None:

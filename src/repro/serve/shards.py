@@ -68,6 +68,7 @@ class ShardStore:
         rank_in_cell: np.ndarray,
         shards: Tuple[Shard, ...],
         id_order: np.ndarray,
+        ids_sorted: np.ndarray,
     ):
         self.location_id = location_id
         self.cell_key = cell_key
@@ -80,7 +81,7 @@ class ShardStore:
         self.rank_in_cell = rank_in_cell
         self.shards = shards
         self._id_order = id_order
-        self._ids_sorted = location_id[id_order]
+        self._ids_sorted = ids_sorted
         self._cell_tokens = None
 
     @property
@@ -111,16 +112,21 @@ class ShardStore:
             lat_deg = np.ascontiguousarray(table.lat_deg[order])
             lon_deg = np.ascontiguousarray(table.lon_deg[order])
             n = len(location_id)
-            if n and len(np.unique(location_id)) != n:
+            # Ids in ascending order: a duplicate shows up as an equal
+            # neighbour, so one O(n) pass finds it.
+            ids_sorted = location_id[id_order]
+            if n and not (ids_sorted[1:] > ids_sorted[:-1]).all():
                 raise ServeError("duplicate location ids in table")
-            unique_keys, first_rows, per_cell = np.unique(
-                cell_key, return_index=True, return_counts=True
+            # Rows are sorted by cell key, so each cell is one run; the
+            # cell directory is the run boundaries.
+            first_rows = np.flatnonzero(
+                np.concatenate(([n > 0], cell_key[1:] != cell_key[:-1]))
             )
-            cell_starts = np.concatenate(
-                [first_rows, np.array([n], dtype=np.int64)]
-            ).astype(np.int64)
+            unique_keys = cell_key[first_rows]
+            cell_starts = np.append(first_rows, n).astype(np.int64)
             row_cell = np.repeat(
-                np.arange(len(unique_keys), dtype=np.int64), per_cell
+                np.arange(len(unique_keys), dtype=np.int64),
+                np.diff(cell_starts),
             )
             rank_in_cell = np.arange(n, dtype=np.int64) - cell_starts[row_cell]
             shards = cls._cut_shards(cell_starts, target_shard_rows)
@@ -137,6 +143,7 @@ class ShardStore:
                 rank_in_cell=rank_in_cell,
                 shards=shards,
                 id_order=id_order,
+                ids_sorted=ids_sorted,
             )
 
     @staticmethod
@@ -158,16 +165,16 @@ class ShardStore:
         n = len(table)
         keys = table.cell_key
         ids = table.location_id
-        if n:
+        if n and (ids[1:] > ids[:-1]).all():
             run_starts = np.flatnonzero(
                 np.concatenate([np.ones(1, dtype=bool), keys[1:] != keys[:-1]])
             )
             run_keys = keys[run_starts]
-            ids_ascending = bool(np.all(ids[1:] > ids[:-1]))
-            runs_unique = len(np.unique(run_keys)) == len(run_keys)
-            if ids_ascending and runs_unique:
+            run_order = np.argsort(run_keys, kind="stable")
+            sorted_run_keys = run_keys[run_order]
+            # Each key in exactly one run iff the sorted run keys ascend.
+            if (sorted_run_keys[1:] > sorted_run_keys[:-1]).all():
                 obs.registry().counter("serve.shards.grouped_fast_path").inc()
-                run_order = np.argsort(run_keys, kind="stable")
                 run_lens = np.diff(
                     np.concatenate([run_starts, np.array([n])])
                 )

@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.demand.regions import QUICK_BBOX
 from repro.errors import SimulationError
 from repro.orbits.shells import GEN1_SHELLS
 from repro.sim.assignment import GreedyDemandFirst, ProportionalFair
@@ -52,9 +53,6 @@ BENCH_STRATEGIES = {
     "greedy": (GreedyDemandFirst, ReferenceGreedyDemandFirst),
     "fair": (ProportionalFair, ReferenceProportionalFair),
 }
-
-#: Region used by ``--quick`` runs (the test suite's Appalachian subset).
-QUICK_BBOX = (37.0, 38.5, -83.5, -81.0)
 
 
 @dataclass(frozen=True)

@@ -182,9 +182,7 @@ class ConstellationSimulation:
     @staticmethod
     def _cells_to_ecef(dataset: DemandDataset) -> np.ndarray:
         lat = np.radians(dataset.latitudes())
-        lon = np.radians(
-            np.array([c.center.lon_deg for c in dataset.cells], dtype=float)
-        )
+        lon = np.radians(dataset.to_columns()["center_lon"])
         return EARTH_RADIUS_KM * np.stack(
             [
                 np.cos(lat) * np.cos(lon),
@@ -212,7 +210,7 @@ class ConstellationSimulation:
         :class:`VisibilityIndex` is differentially tested and
         benchmarked against.
         """
-        visible_per_cell: List[List[int]] = [[] for _ in range(len(self.dataset.cells))]
+        visible_per_cell: List[List[int]] = [[] for _ in range(self.dataset.n_cells)]
         all_lats: List[np.ndarray] = []
         offset = 0
         for shell_index, (walker, chord) in enumerate(
@@ -247,9 +245,9 @@ class ConstellationSimulation:
 
     def run(self, clock: SimulationClock) -> CoverageMetrics:
         """Run the simulation, returning the raw metric accumulators."""
-        metrics = CoverageMetrics(cell_count=len(self.dataset.cells))
+        metrics = CoverageMetrics(cell_count=self.dataset.n_cells)
         registry = obs.registry()
-        registry.gauge("sim.cells").set(len(self.dataset.cells))
+        registry.gauge("sim.cells").set(self.dataset.n_cells)
         registry.gauge("sim.satellites").set(self.satellite_count)
         steps = registry.counter("sim.steps")
         nnz = registry.counter("sim.csr.nnz")
@@ -262,7 +260,7 @@ class ConstellationSimulation:
         with obs.span(
             "sim.run",
             engine=self.engine,
-            cells=len(self.dataset.cells),
+            cells=self.dataset.n_cells,
             satellites=self.satellite_count,
         ):
             for time_s in clock.times():
@@ -297,8 +295,9 @@ class ConstellationSimulation:
         mutating the simulation. ``None`` (the default, and what
         :meth:`run` passes) keeps the static :attr:`demands_mbps`.
         """
-        if demands_mbps is not None and demands_mbps.shape[0] != len(
-            self.dataset.cells
+        if (
+            demands_mbps is not None
+            and demands_mbps.shape[0] != self.dataset.n_cells
         ):
             raise SimulationError("demand override misaligned with cells")
         if self.engine == "fast":
@@ -391,7 +390,7 @@ class ConstellationSimulation:
             mean_handovers_per_step=metrics.mean_handovers_per_step(),
             mean_reconnections_per_step=metrics.mean_reconnections_per_step(),
             steps=metrics.steps,
-            cells=len(self.dataset.cells),
+            cells=self.dataset.n_cells,
             satellites=self.satellite_count,
             min_coverage_fraction=float(coverage.min()),
             mean_coverage_fraction=float(coverage.mean()),

@@ -211,7 +211,7 @@ def run_timeline(
     phase_lon = _phase_longitudes(dataset)
     total_locations = float(counts.sum())
 
-    cell_count = len(dataset.cells)
+    cell_count = dataset.n_cells
     metrics = CoverageMetrics(cell_count=cell_count)
     churn = ChurnState(cell_count, config.churn)
     unserved_seconds = np.zeros(cell_count)

@@ -1,5 +1,10 @@
-"""Shared fixtures: the calibrated national dataset is expensive (~2 s),
-so it is generated once per session and shared read-only."""
+"""Shared fixtures.
+
+The calibrated national dataset is generated once per session (~0.1 s)
+and shared read-only. It is columnar: its ``ServiceCell`` list is built
+only when a test reads ``dataset.cells``, and the regional subset is a
+mask over its center columns, so neither fixture pays for per-cell
+objects up front."""
 
 from __future__ import annotations
 
@@ -9,6 +14,7 @@ import pytest
 from repro.core.model import StarlinkDivideModel
 from repro.demand.bsl import County, ServiceCell
 from repro.demand.dataset import DemandDataset
+from repro.demand.regions import QUICK_BBOX
 from repro.demand.synthetic import generate_national_map
 from repro.geo.coords import LatLon
 from repro.geo.hexgrid import CellId
@@ -29,7 +35,7 @@ def national_model(national_dataset) -> StarlinkDivideModel:
 @pytest.fixture(scope="session")
 def regional_dataset(national_dataset) -> DemandDataset:
     """A small Appalachian subset for fast simulator tests."""
-    return national_dataset.subset_bbox(37.0, 38.5, -83.5, -81.0, "test region")
+    return national_dataset.subset_bbox(*QUICK_BBOX, "test region")
 
 
 def build_toy_dataset(counts, latitudes=None, incomes=None) -> DemandDataset:

@@ -51,17 +51,20 @@ class TestSeatSampling:
 class TestNearestAssignment:
     def test_assigns_to_closest(self):
         seats = [LatLon(30.0, -100.0), LatLon(40.0, -80.0)]
-        points = [LatLon(31.0, -99.0), LatLon(39.0, -81.0), LatLon(30.5, -100.5)]
-        indices = assign_to_nearest_seat(points, seats)
+        lats = np.array([31.0, 39.0, 30.5])
+        lons = np.array([-99.0, -81.0, -100.5])
+        indices = assign_to_nearest_seat(lats, lons, seats)
         assert indices.tolist() == [0, 1, 0]
 
     def test_empty_points(self):
-        indices = assign_to_nearest_seat([], [LatLon(0.0, 0.0)])
+        indices = assign_to_nearest_seat(
+            np.empty(0), np.empty(0), [LatLon(0.0, 0.0)]
+        )
         assert indices.shape == (0,)
 
     def test_rejects_empty_seats(self):
         with pytest.raises(DatasetError):
-            assign_to_nearest_seat([LatLon(0.0, 0.0)], [])
+            assign_to_nearest_seat(np.zeros(1), np.zeros(1), [])
 
 
 def test_county_names_are_unique_and_stable():

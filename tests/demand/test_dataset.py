@@ -107,6 +107,28 @@ class TestSubset:
         assert 0 < subset.total_locations < national_dataset.total_locations
         assert subset.max_cell().total_locations == 5998  # planted peak inside
 
+    def test_subset_matches_a_filter_over_the_cells(self, national_dataset):
+        lat_min, lat_max, lon_min, lon_max = 36.0, 39.0, -90.0, -80.0
+        subset = national_dataset.subset_bbox(
+            lat_min, lat_max, lon_min, lon_max, "box"
+        )
+        kept = [
+            c
+            for c in national_dataset.cells
+            if lat_min <= c.center.lat_deg <= lat_max
+            and lon_min <= c.center.lon_deg <= lon_max
+        ]
+        county_ids = {c.county_id for c in kept}
+        assert subset.cells == kept
+        assert list(subset.counties) == list(county_ids)
+        assert subset.description == "box"
+        reference = DemandDataset(
+            cells=kept,
+            counties={i: national_dataset.counties[i] for i in county_ids},
+            grid_resolution=national_dataset.grid_resolution,
+        )
+        assert subset.fingerprint() == reference.fingerprint()
+
 
 class TestColumns:
     def test_round_trip_preserves_everything(self, toy_dataset):

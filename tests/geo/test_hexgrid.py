@@ -177,9 +177,9 @@ class TestEnumeration:
             [LatLon(39.0, -101.0), LatLon(40.0, -101.0), LatLon(39.0, -100.0)]
         )
         covered = grid.cells_covering(triangle)
-        assert covered
-        boxed = set(grid.cells_in_bbox(39.0, 40.0, -101.0, -100.0))
-        assert set(covered) <= boxed
+        assert covered.size
+        boxed = {c.key for c in grid.cells_in_bbox(39.0, 40.0, -101.0, -100.0)}
+        assert set(covered.tolist()) <= boxed
 
     def test_cell_polygon_has_six_vertices(self, grid):
         cell = grid.cell_for(LatLon(40.0, -100.0))
@@ -292,11 +292,12 @@ class TestVectorized:
         )
         covered = grid.cells_covering(triangle)
         expected = [
-            cell
+            cell.key
             for cell in grid.cells_in_bbox(*triangle.bounds())
             if triangle.contains(grid.center(cell))
         ]
-        assert covered == expected
+        assert covered.dtype == np.uint64
+        assert covered.tolist() == expected
 
 
 class TestEdgeGeometry:

@@ -82,6 +82,24 @@ class TestShardGeometry:
         ids[1] = ids[0]
         with pytest.raises(ServeError, match="duplicate location ids"):
             ShardStore.from_table(_mutate(toy_serve_table, location_id=ids))
+        # Duplicates far apart and in different cells, with the rows as
+        # exploded, as whole cell runs in another order, and shuffled.
+        n = len(toy_serve_table)
+        keys = toy_serve_table.cell_key
+        run_starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        runs = np.split(np.arange(n), run_starts)
+        for rows in (
+            np.arange(n),
+            np.concatenate(runs[::-1]),
+            np.random.default_rng(5).permutation(n),
+        ):
+            table = _subset(toy_serve_table, rows)
+            ids = np.arange(n, dtype=np.int64)
+            ShardStore.from_table(_mutate(table, location_id=ids))
+            other_cell = np.flatnonzero(table.cell_key != table.cell_key[0])
+            ids[other_cell[-1]] = ids[0]
+            with pytest.raises(ServeError, match="duplicate location ids"):
+                ShardStore.from_table(_mutate(table, location_id=ids))
 
     def test_unknown_location_id(self, toy_serve_index):
         with pytest.raises(ServeError, match="unknown location id"):

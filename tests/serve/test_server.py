@@ -7,8 +7,10 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.errors import ServeError
 from repro.serve import QueryEngine, ServeClient, ServeServer
+from repro.serve.server import MAX_LINE_BYTES
 
 
 def _roundtrip(engine, interact):
@@ -175,6 +177,47 @@ class TestErrors:
             "ok": False,
             "error": "request must be a JSON object",
         }
+
+    def test_oversized_line_keeps_the_connection(self, toy_engine):
+        # A point_id batch on a line longer than the limit: the server
+        # drops it, answers with an error, and serves the next request.
+        line = (
+            b'{"op": "point_id", "location_ids": ['
+            + b"1, " * (MAX_LINE_BYTES // 3)
+            + b"1]}\n"
+        )
+        assert len(line) > MAX_LINE_BYTES
+        errors = obs.registry().counter("serve.errors")
+
+        async def interact(client):
+            client._writer.write(line)
+            await client._writer.drain()
+            error = json.loads(await client._reader.readline())
+            counted = errors.value
+            pong = await client.request({"op": "ping"})
+            return error, counted, pong
+
+        before = errors.value
+        error, counted, pong = _roundtrip(toy_engine, interact)
+        assert error == {
+            "ok": False,
+            "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+        }
+        assert counted == before + 1
+        assert pong["pong"] is True
+
+    def test_lines_past_asyncio_default_limit(self, toy_engine):
+        # Every location in one batch: a ~100 KB request and a
+        # response of several hundred KB, both over asyncio's 64 KiB.
+        ids = [int(i) for i in toy_engine.index.store.location_id]
+
+        async def interact(client):
+            return await client.point_by_id(ids)
+
+        answer = _roundtrip(toy_engine, interact)
+        assert len(json.dumps(ids)) > 64 * 1024
+        assert len(json.dumps(answer)) > 64 * 1024
+        assert answer == {"ok": True, **toy_engine.point_by_id(ids)}
 
     def test_client_request_after_close(self, toy_engine):
         async def interact(client):

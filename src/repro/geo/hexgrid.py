@@ -202,17 +202,26 @@ class HexGrid:
         Returns (lat_deg, lon_deg) arrays, bit-identical to
         :meth:`center` applied per cell.
         """
-        resolution, q, r = unpack_cell_keys(keys)
-        if resolution.size and (resolution != self.resolution).any():
-            bad = int(resolution[resolution != self.resolution][0])
-            raise GeometryError(
-                f"cell resolution {bad} does not match grid "
-                f"resolution {self.resolution}"
-            )
+        return self.projection.inverse_many(*self._centers_xy_many(keys))
+
+    def polygons_many(
+        self, keys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Boundary vertices for an array of packed cell keys.
+
+        Returns (lat_deg, lon_deg) arrays of shape ``(n, 6)``, row ``i``
+        bit-identical to :meth:`cell_polygon` of cell ``i``: the vertex
+        offsets are the same Python-float products, added to the same
+        center coordinates.
+        """
+        x, y = self._centers_xy_many(keys)
         a = self.hex_size_km
-        x = a * 1.5 * q.astype(float)
-        y = a * math.sqrt(3.0) * (r.astype(float) + q.astype(float) / 2.0)
-        return self.projection.inverse_many(x, y)
+        angles = [math.pi / 3.0 * k for k in range(6)]
+        dx = np.array([a * math.cos(angle) for angle in angles])
+        dy = np.array([a * math.sin(angle) for angle in angles])
+        return self.projection.inverse_many(
+            x[:, np.newaxis] + dx, y[:, np.newaxis] + dy
+        )
 
     def center(self, cell: CellId) -> LatLon:
         """Geographic center of ``cell``."""
@@ -360,6 +369,22 @@ class HexGrid:
 
     def _center_xy(self, cell: CellId) -> Tuple[float, float]:
         return self._center_xy_qr(cell.q, cell.r)
+
+    def _centers_xy_many(
+        self, keys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Planar centers of packed keys (vectorized :meth:`_center_xy_qr`)."""
+        resolution, q, r = unpack_cell_keys(keys)
+        if resolution.size and (resolution != self.resolution).any():
+            bad = int(resolution[resolution != self.resolution][0])
+            raise GeometryError(
+                f"cell resolution {bad} does not match grid "
+                f"resolution {self.resolution}"
+            )
+        a = self.hex_size_km
+        x = a * 1.5 * q.astype(float)
+        y = a * math.sqrt(3.0) * (r.astype(float) + q.astype(float) / 2.0)
+        return x, y
 
     def _center_xy_qr(self, q: int, r: int) -> Tuple[float, float]:
         a = self.hex_size_km

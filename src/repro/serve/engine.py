@@ -33,7 +33,6 @@ class QueryEngine:
         registry = obs.registry()
         self._queries = registry.counter("serve.queries")
         self._points = registry.counter("serve.queries.points")
-        self._errors = registry.counter("serve.errors")
         self._latency = registry.histogram("serve.query.latency_s")
         self._rolling_latency = registry.rolling("serve.query.latency_s")
 
@@ -77,11 +76,7 @@ class QueryEngine:
         """
         start = time.perf_counter()
         index = self._index
-        try:
-            rows = index.store.rows_for_location_ids(location_ids)
-        except Exception:
-            self._errors.inc()
-            raise
+        rows = index.store.rows_for_location_ids(location_ids)
         store = index.store
         cells = store.row_cell[rows]
         ranks = store.rank_in_cell[rows]
@@ -211,10 +206,19 @@ class QueryEngine:
     def tiles_geojson(
         self, tile_resolution: int = DEFAULT_TILE_RESOLUTION
     ) -> Dict:
-        """Choropleth-ready GeoJSON tile aggregates at one epoch."""
+        """Choropleth-ready GeoJSON tile aggregates at one epoch.
+
+        The collection's polygons are shared with every other ``tiles``
+        answer at the same resolution; treat them as read-only.
+        """
         with obs.span("serve.query", kind="tiles"):
+            index = self._index
             self._queries.inc()
-            return tiles_to_geojson(self._index, tile_resolution)
+            return {
+                "epoch": index.epoch,
+                "scenario_id": index.scenario_id,
+                "collection": tiles_to_geojson(index, tile_resolution),
+            }
 
     def stats(self) -> Dict:
         """Service-level summary of the live snapshot."""

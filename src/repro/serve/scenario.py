@@ -10,6 +10,7 @@ that produced them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -38,6 +39,12 @@ class ScenarioParams:
     income_share: float = AFFORDABILITY_INCOME_SHARE
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below, and an infinite
+        # beamspread caps every cell at 0: neither names a scenario.
+        for name in ("oversubscription", "beamspread", "income_share"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ServeError(f"{name} must be finite: {value!r}")
         if self.oversubscription <= 0.0:
             raise ServeError(
                 f"oversubscription must be positive: {self.oversubscription!r}"

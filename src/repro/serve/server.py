@@ -6,7 +6,9 @@ the answer's ``epoch``/``scenario_id``, so clients can detect snapshot
 swaps). Errors come back as ``{"ok": false, "error": ...}`` — a bad
 request never kills the connection. Server and client read lines of up
 to :data:`MAX_LINE_BYTES`; a longer request line is discarded and
-answered with an error.
+answered with an error. Ids and resolutions must be JSON integers and
+coordinates and scenario parameters finite JSON numbers: anything else
+(a float id, a bool, a string, NaN) is refused, never coerced.
 
 Ops:
 
@@ -16,7 +18,7 @@ Ops:
 ``point_latlon``          ``{"lat": .., "lon": ..}``
 ``cell``                  ``{"token": "..."}``
 ``county``                ``{"county_id": ..}``
-``tiles``                 ``{"resolution": ..}`` (optional)
+``tiles``                 ``{"resolution": ..}`` (optional, in [0, grid))
 ``set_params``            scenario change; responds after the epoch swap
 ``metrics``               cumulative + rolling metrics snapshots
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from typing import Dict, List, Optional
 
@@ -37,6 +40,7 @@ from repro import obs
 from repro.errors import ReproError, ServeError
 from repro.serve.engine import QueryEngine
 from repro.serve.scenario import ScenarioParams
+from repro.serve.tiles import DEFAULT_TILE_RESOLUTION
 
 #: Longest request or response line either side reads, in bytes. The
 #: national ``tiles`` answer is ~450 KB; asyncio's default is 64 KiB.
@@ -121,7 +125,7 @@ class ServeServer:
         except ReproError as exc:
             obs.registry().counter("serve.errors").inc()
             return {"ok": False, "error": str(exc)}
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             obs.registry().counter("serve.errors").inc()
             return {"ok": False, "error": f"bad request: {exc}"}
 
@@ -133,20 +137,29 @@ class ServeServer:
         if op == "stats":
             return engine.stats()
         if op == "point_id":
-            return engine.point_by_id(request["location_ids"])
+            location_ids = request["location_ids"]
+            if not isinstance(location_ids, list) or not all(
+                type(location_id) is int for location_id in location_ids
+            ):
+                raise ValueError("location_ids must be a list of integers")
+            return engine.point_by_id(location_ids)
         if op == "point_latlon":
             return engine.point_by_latlon(
-                float(request["lat"]), float(request["lon"])
+                _number(request["lat"], "lat"), _number(request["lon"], "lon")
             )
         if op == "cell":
             return engine.cell_answer(str(request["token"]))
         if op == "county":
-            return engine.county_answer(int(request["county_id"]))
-        if op == "tiles":
-            collection = engine.tiles_geojson(
-                int(request.get("resolution", 3))
+            return engine.county_answer(
+                _integer(request["county_id"], "county_id")
             )
-            return {"epoch": engine.epoch, "collection": collection}
+        if op == "tiles":
+            return engine.tiles_geojson(
+                _integer(
+                    request.get("resolution", DEFAULT_TILE_RESOLUTION),
+                    "resolution",
+                )
+            )
         if op == "metrics":
             registry = obs.registry()
             return {
@@ -155,24 +168,35 @@ class ServeServer:
                 "rolling": registry.rolling_snapshot(),
             }
         if op == "set_params":
+            current = engine.index.params
             params = ScenarioParams(
-                oversubscription=float(
-                    request.get(
+                **{
+                    field: _number(
+                        request.get(field, getattr(current, field)), field
+                    )
+                    for field in (
                         "oversubscription",
-                        engine.index.params.oversubscription,
+                        "beamspread",
+                        "income_share",
                     )
-                ),
-                beamspread=float(
-                    request.get("beamspread", engine.index.params.beamspread)
-                ),
-                income_share=float(
-                    request.get(
-                        "income_share", engine.index.params.income_share
-                    )
-                ),
+                }
             )
             return await engine.update_params(params)
         raise ServeError(f"unknown op: {op!r}")
+
+
+def _integer(value, field: str) -> int:
+    """``value`` if it is a JSON integer; floats and bools are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer: {value!r}")
+    return value
+
+
+def _number(value, field: str) -> float:
+    """``value`` as a float if it is a finite JSON number, not a bool."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{field} must be a finite number: {value!r}")
+    return float(value)
 
 
 async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:

@@ -15,13 +15,16 @@ batch pipeline's ``min(count, cap)`` per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.demand.locations import LocationTable
 from repro.errors import ServeError
+
+if TYPE_CHECKING:
+    from repro.serve.tiles import TileLayout
 
 #: Default shard granularity, in rows. Small enough that recomputing one
 #: shard is cheap, large enough that per-shard overhead stays negligible
@@ -83,6 +86,9 @@ class ShardStore:
         self._id_order = id_order
         self._ids_sorted = ids_sorted
         self._cell_tokens = None
+        #: :class:`~repro.serve.tiles.TileLayout` per tile resolution,
+        #: built by the first ``tiles`` query at that resolution.
+        self.tile_layouts: Dict[int, "TileLayout"] = {}
 
     @property
     def cell_tokens(self):

@@ -27,6 +27,57 @@ def grid():
     return HexGrid(STARLINK_CELL_RESOLUTION)
 
 
+def _grid_edges(grid):
+    """The antimeridian column and the pole rows (as ``r + q/2``)."""
+    a = grid.hex_size_km
+    radius = grid.projection.radius_km
+    q_edge = math.ceil(math.pi * radius / (1.5 * a))
+    r_pole = radius / (math.sqrt(3.0) * a)
+    return q_edge, r_pole, -r_pole
+
+
+@st.composite
+def _edge_heavy_cells(draw):
+    """(resolution, keys): cells anywhere on the grid, with extra weight
+    on the antimeridian column and on rows past either pole line."""
+    resolution = draw(st.integers(min_value=0, max_value=10))
+    q_edge, r_north, r_south = _grid_edges(HexGrid(resolution))
+    near = st.integers(min_value=-3, max_value=3)
+    keys = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        q = draw(
+            st.one_of(
+                st.integers(min_value=-q_edge - 3, max_value=q_edge + 3),
+                near.map(lambda d: q_edge + d),
+                near.map(lambda d: -q_edge + d),
+            )
+        )
+        north = round(r_north - q / 2.0)
+        south = round(r_south - q / 2.0)
+        r = draw(
+            st.one_of(
+                st.integers(min_value=south - 3, max_value=north + 3),
+                near.map(lambda d: north + d),
+                near.map(lambda d: south + d),
+            )
+        )
+        keys.append(CellId(resolution, q, r).key)
+    return resolution, keys
+
+
+def _assert_polygons_bit_identical(grid, keys):
+    """``polygons_many`` equals per-cell ``cell_polygon`` bit for bit."""
+    lat, lon = grid.polygons_many(np.array(keys, dtype=np.uint64))
+    assert lat.shape == lon.shape == (len(keys), 6)
+    polygons = [grid.cell_polygon(CellId.from_key(key)) for key in keys]
+    expected_lat = np.array([[v.lat_deg for v in p] for p in polygons])
+    expected_lon = np.array([[v.lon_deg for v in p] for p in polygons])
+    # Bit patterns, so that -0.0 != 0.0 and NaN would not slip through.
+    assert lat.view(np.uint64).tolist() == expected_lat.view(np.uint64).tolist()
+    assert lon.view(np.uint64).tolist() == expected_lon.view(np.uint64).tolist()
+    return lat, lon
+
+
 class TestCellId:
     def test_token_roundtrip(self):
         cell = CellId(5, -714, 581)
@@ -282,6 +333,40 @@ class TestVectorized:
     def test_centers_many_rejects_foreign_resolution(self, grid):
         with pytest.raises(GeometryError):
             grid.centers_many(
+                np.array([CellId(4, 0, 0).key], dtype=np.uint64)
+            )
+
+    @given(_edge_heavy_cells())
+    @settings(max_examples=100)
+    def test_polygons_many_matches_cell_polygon(self, resolution_and_keys):
+        resolution, keys = resolution_and_keys
+        _assert_polygons_bit_identical(HexGrid(resolution), keys)
+
+    @pytest.mark.parametrize("resolution", (0, 3, 5, 6, 10))
+    def test_polygons_many_at_pole_and_antimeridian(self, resolution):
+        grid = HexGrid(resolution)
+        q_edge, r_north, r_south = _grid_edges(grid)
+        keys = [
+            CellId(resolution, q, r).key
+            for q in (-q_edge - 1, -q_edge, 0, q_edge, q_edge + 1)
+            for r_edge in (r_north, r_south)
+            for r in (
+                round(r_edge - q / 2.0) - 1,
+                round(r_edge - q / 2.0),
+                round(r_edge - q / 2.0) + 2,
+            )
+        ]
+        lat, lon = _assert_polygons_bit_identical(grid, keys)
+        # The set exercises the clamp past both poles and the wrap at
+        # the antimeridian.
+        assert lat.max() == 90.0 and lat.min() == -90.0
+        assert lon.max() > 179.0 and lon.min() < -179.0
+
+    def test_polygons_many_shapes_and_resolution(self, grid):
+        lat, lon = grid.polygons_many(np.empty(0, dtype=np.uint64))
+        assert lat.shape == lon.shape == (0, 6)
+        with pytest.raises(GeometryError):
+            grid.polygons_many(
                 np.array([CellId(4, 0, 0).key], dtype=np.uint64)
             )
 

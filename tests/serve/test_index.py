@@ -185,6 +185,33 @@ class TestRefresh:
         assert toy_serve_index.params == ScenarioParams()
 
 
+class TestScenarioParams:
+    @pytest.mark.parametrize(
+        "overrides",
+        (
+            {"income_share": float("nan")},
+            {"beamspread": float("inf")},
+            {"oversubscription": float("-inf")},
+            {"oversubscription": float("nan")},
+            {"oversubscription": 0.0},
+            {"beamspread": 0.5},
+            {"income_share": -0.1},
+        ),
+    )
+    def test_rejects_values_that_name_no_scenario(self, toy_engine, overrides):
+        with pytest.raises(ServeError):
+            ScenarioParams(**overrides)
+        # The engine keeps serving the epoch it had.
+        assert toy_engine.epoch == 0
+        assert toy_engine.index.params == ScenarioParams()
+
+    def test_non_finite_error_names_the_field(self):
+        with pytest.raises(ServeError, match="income_share must be finite"):
+            ScenarioParams(income_share=float("nan"))
+        with pytest.raises(ServeError, match="beamspread must be finite"):
+            ScenarioParams(beamspread=float("inf"))
+
+
 class TestEmptyTable:
     def test_empty_index_builds_and_answers(self):
         dataset = build_toy_dataset([0, 0])

@@ -9,7 +9,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ServeError
-from repro.serve import QueryEngine, ServeClient, ServeServer
+from repro.serve import QueryEngine, ScenarioParams, ServeClient, ServeServer
 from repro.serve.server import MAX_LINE_BYTES
 
 
@@ -76,8 +76,35 @@ class TestOps:
         cell, county, tiles = _roundtrip(toy_engine, interact)
         assert cell == {"ok": True, **toy_engine.cell_answer(token)}
         assert county == {"ok": True, **toy_engine.county_answer(county_id)}
+        assert tiles == {"ok": True, **toy_engine.tiles_geojson()}
+        assert list(tiles) == ["ok", "epoch", "scenario_id", "collection"]
         assert tiles["epoch"] == 0
-        assert tiles["collection"] == toy_engine.tiles_geojson()
+        assert tiles["scenario_id"] == toy_engine.index.scenario_id
+
+    def test_tiles_echo_the_snapshot_that_built_them(self, toy_engine):
+        async def interact(client):
+            await client.request({"op": "tiles"})
+            swap = await client.request(
+                {
+                    "op": "set_params",
+                    "oversubscription": 15.0,
+                    "beamspread": 2.0,
+                }
+            )
+            tiles = await client.request({"op": "tiles", "resolution": 2})
+            return swap, tiles
+
+        swap, tiles = _roundtrip(toy_engine, interact)
+        assert (tiles["epoch"], tiles["scenario_id"]) == (
+            swap["epoch"],
+            swap["scenario_id"],
+        )
+        for feature in tiles["collection"]["features"]:
+            properties = feature["properties"]
+            assert properties["epoch"] == tiles["epoch"]
+            assert properties["scenario_id"] == tiles["scenario_id"]
+        # One layout per resolution asked for, shared by both epochs.
+        assert sorted(toy_engine.index.store.tile_layouts) == [2, 3]
 
     def test_set_params_defaults_missing_fields(self, toy_engine):
         before = toy_engine.index.params
@@ -152,6 +179,115 @@ class TestErrors:
         assert "oversubscription" in failures[4]
         # Failed set_params must not have touched the snapshot.
         assert toy_engine.epoch == 0
+
+    def test_numbers_that_are_not_integers_are_refused(self, toy_engine):
+        # int() would truncate each float to another id or resolution,
+        # and an integer past int64 raises OverflowError in NumPy.
+        huge = 2**70
+        lines = [
+            b'{"op": "point_id", "location_ids": [1e400]}',
+            b'{"op": "point_id", "location_ids": [%d]}' % huge,
+            b'{"op": "point_id", "location_ids": [2.5]}',
+            b'{"op": "point_id", "location_ids": [1, true]}',
+            b'{"op": "point_id", "location_ids": 7}',
+            b'{"op": "tiles", "resolution": 1e400}',
+            b'{"op": "tiles", "resolution": %d}' % huge,
+            b'{"op": "tiles", "resolution": 2.9}',
+            b'{"op": "tiles", "resolution": true}',
+            b'{"op": "tiles", "resolution": 5}',
+            b'{"op": "tiles", "resolution": -1}',
+            b'{"op": "county", "county_id": 1e400}',
+            b'{"op": "county", "county_id": 2.0}',
+            b'{"op": "county", "county_id": false}',
+        ]
+        errors = obs.registry().counter("serve.errors")
+
+        async def interact(client):
+            await client.request({"op": "tiles", "resolution": 0})
+            await client.request({"op": "tiles"})
+            answers = []
+            for line in lines:
+                client._writer.write(line + b"\n")
+                await client._writer.drain()
+                answers.append(json.loads(await client._reader.readline()))
+            counted = errors.value
+            county = await client.request({"op": "county", "county_id": huge})
+            pong = await client.request({"op": "ping"})
+            return answers, counted, county, pong
+
+        before = errors.value
+        answers, counted, county, pong = _roundtrip(toy_engine, interact)
+        for line, answer in zip(lines, answers):
+            assert answer["ok"] is False, line
+        assert counted == before + len(lines)
+        assert county["in_dataset"] is False
+        assert pong["pong"] is True
+        # Only the valid resolutions built a layout.
+        assert sorted(toy_engine.index.store.tile_layouts) == [0, 3]
+
+    def test_non_finite_scenario_is_refused(self, toy_engine):
+        # json.loads reads these literals as NaN and +-inf.
+        lines = [
+            b'{"op": "set_params", "income_share": NaN}',
+            b'{"op": "set_params", "beamspread": Infinity}',
+            b'{"op": "set_params", "oversubscription": -Infinity}',
+            b'{"op": "set_params", "oversubscription": 1e400}',
+        ]
+        errors = obs.registry().counter("serve.errors")
+
+        async def interact(client):
+            answers = []
+            for line in lines:
+                client._writer.write(line + b"\n")
+                await client._writer.drain()
+                answers.append(json.loads(await client._reader.readline()))
+            counted = errors.value
+            pong = await client.request({"op": "ping"})
+            return answers, counted, pong
+
+        before = errors.value
+        answers, counted, pong = _roundtrip(toy_engine, interact)
+        for answer in answers:
+            assert answer["ok"] is False
+            assert "finite" in answer["error"]
+        assert counted == before + len(lines)
+        assert pong == {"ok": True, "pong": True, "epoch": 0}
+        assert toy_engine.index.params == ScenarioParams()
+
+    def test_numbers_must_be_numbers(self, toy_engine):
+        # float() would turn each of these into a number.
+        lines = [
+            b'{"op": "set_params", "beamspread": true}',
+            b'{"op": "set_params", "oversubscription": "15"}',
+            b'{"op": "set_params", "income_share": "nan"}',
+            b'{"op": "point_latlon", "lat": NaN, "lon": -90.0}',
+            b'{"op": "point_latlon", "lat": 37.0, "lon": Infinity}',
+            b'{"op": "point_latlon", "lat": 37.0, "lon": false}',
+            b'{"op": "point_latlon", "lat": 37.0, "lon": 1e999}',
+        ]
+        errors = obs.registry().counter("serve.errors")
+
+        async def interact(client):
+            answers = []
+            for line in lines:
+                client._writer.write(line + b"\n")
+                await client._writer.drain()
+                answers.append(json.loads(await client._reader.readline()))
+            counted = errors.value
+            point = await client.request(
+                {"op": "point_latlon", "lat": 37, "lon": -90}
+            )
+            return answers, counted, point
+
+        before = errors.value
+        answers, counted, point = _roundtrip(toy_engine, interact)
+        for line, answer in zip(lines, answers):
+            assert answer["ok"] is False, line
+            assert answer["error"].startswith("bad request"), answer
+        assert counted == before + len(lines)
+        assert toy_engine.epoch == 0
+        # Integers are numbers: lat 37, lon -90 is a valid point.
+        assert point["ok"] is True
 
     def test_malformed_json_line(self, toy_engine):
         async def interact(client):

@@ -23,20 +23,28 @@ rejection sampler with pure array arithmetic:
 * offer draws are two 3-entry ``searchsorted`` passes (one per service
   class) over the same raw doubles ``Generator.choice`` would consume.
 
-The result is **bit-identical** to the reference path — same positions,
-same offers, same column order — proven by the differential tests in
+The explode streams: each chunk's planar positions live in chunk-local
+x/y buffers and are unprojected into the table's ``lat_deg``/``lon_deg``
+as soon as the chunk is drawn, so no full-length x/y column exists and a
+chunk's working set stays a few MB.
+
+The result is **bit-identical** to the per-group reference loop
+(``tests/oracles/explode.py``) — same positions, same offers, same
+column order — proven by the differential tests in
 ``tests/demand/test_fused.py``.
 
-:func:`runlength_unique_counts` is the shared aggregation kernel behind
-the fused ``bin_table``: exploded tables arrive grouped by cell, so
-compressing runs of equal keys first shrinks the ``np.unique`` sort
-from one entry per *location* (4.66 M) to one per *run* (~the cell
-count) while remaining correct for arbitrary key order.
+:func:`key_runs` and :func:`merge_runs` are the aggregation kernel
+behind the chunked ``bin_table``: exploded tables arrive grouped by
+cell, so compressing each chunk's runs of equal keys first shrinks the
+``np.unique`` sort from one entry per *location* (4.66 M) to one per
+*run* (~the cell count). Runs are merged like any repeated key, so a
+run cut by a chunk edge, or keys in arbitrary order, stay correct.
+:func:`runlength_unique_counts` is the two composed over one array.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -47,12 +55,15 @@ from repro.geo.projection import EqualAreaProjection
 
 __all__ = [
     "fused_explode_columns",
+    "key_runs",
+    "merge_runs",
     "runlength_unique_counts",
 ]
 
-#: Raw doubles drawn per chunk — bounds peak memory (~8 bytes each) while
-#: amortizing RNG dispatch over thousands of groups.
-_CHUNK_DRAWS = 4_000_000
+#: Raw doubles drawn per chunk (~50 k rows). Small enough that the
+#: draws, the candidate arrays and the chunk's x/y buffers stay near the
+#: cache, large enough to amortize RNG dispatch over thousands of groups.
+_CHUNK_DRAWS = 250_000
 
 #: Test hook: force every chunk down the rewind/replay path, proving the
 #: generator snapshot/restore reproduces the reference stream exactly.
@@ -87,7 +98,7 @@ def fused_explode_columns(dataset: DemandDataset, seed: int, span):
     """Batched-RNG explode: the reference stream, thousands of groups at once.
 
     Returns a :class:`~repro.demand.locations.LocationTable` bit-identical
-    to the per-group reference loop (``_explode_cells_table``).
+    to the per-group reference loop (``tests/oracles/explode.py``).
     """
     from repro.demand.locations import (
         _ROOT3,
@@ -117,14 +128,13 @@ def fused_explode_columns(dataset: DemandDataset, seed: int, span):
     registry.counter("locations.explode.rows").inc(total)
     registry.counter("locations.explode.cells").inc(len(cell_keys))
 
-    x = np.empty(total)
-    y = np.empty(total)
+    lat = np.empty(total)
+    lon = np.empty(total)
     keys = np.empty(total, dtype=np.uint64)
     counties = np.empty(total, dtype=np.int64)
     technology = np.empty(total, dtype=np.int16)
     downlink = np.empty(total)
     uplink = np.empty(total)
-    out = (x, y, keys, counties, technology, downlink, uplink)
     offers = (_UNSERVED_COLUMNS, _UNDERSERVED_COLUMNS)
 
     # Doubles one group consumes when its first rejection round fills it:
@@ -146,13 +156,21 @@ def fused_explode_columns(dataset: DemandDataset, seed: int, span):
         )
         g1 = max(g1, g0 + 1)
         consumed = int(draw_ends[g1 - 1])
+        rows = slice(int(row_starts[g0]), int(row_starts[g1]))
+        # The chunk's planar positions go to chunk-local buffers and are
+        # unprojected right away; the other columns are written in place.
+        x = np.empty(rows.stop - rows.start)
+        y = np.empty(rows.stop - rows.start)
+        out = (x, y) + tuple(
+            column[rows]
+            for column in (keys, counties, technology, downlink, uplink)
+        )
         _explode_chunk(
             rng,
             slice(g0, g1),
             g_counts,
             g_cell,
             g_class,
-            row_starts,
             cell_keys,
             county_col,
             center_x,
@@ -162,9 +180,9 @@ def fused_explode_columns(dataset: DemandDataset, seed: int, span):
             offers,
             out,
         )
+        lat[rows], lon[rows] = projection.inverse_many(x, y)
         g0 = g1
 
-    lat, lon = projection.inverse_many(x, y)
     return LocationTable(
         location_id=np.arange(total, dtype=np.int64),
         lat_deg=lat,
@@ -183,7 +201,6 @@ def _explode_chunk(
     g_counts,
     g_cell,
     g_class,
-    row_starts,
     cell_keys,
     county_col,
     center_x,
@@ -193,7 +210,11 @@ def _explode_chunk(
     offers,
     out,
 ) -> None:
-    """Explode groups ``[g0, g1)`` from one batched draw, or rewind."""
+    """Explode groups ``[g0, g1)`` from one batched draw, or rewind.
+
+    ``out`` holds the chunk's rows only: its x/y buffers and views of
+    the table's key, county and offer columns.
+    """
     from repro.demand.locations import _ROOT3
 
     g0, g1 = group_slice.start, group_slice.stop
@@ -231,7 +252,6 @@ def _explode_chunk(
             g_counts,
             g_cell,
             g_class,
-            row_starts,
             cell_keys,
             county_col,
             center_x,
@@ -252,12 +272,11 @@ def _explode_chunk(
     take = inside & (rank <= np.repeat(c, m))
 
     x_out, y_out, keys_out, county_out, tech_out, dl_out, ul_out = out
-    rows = slice(int(row_starts[g0]), int(row_starts[g1]))
     cells = g_cell[group_slice]
-    x_out[rows] = xs[take] + np.repeat(center_x[cells], c)
-    y_out[rows] = ys[take] + np.repeat(center_y[cells], c)
-    keys_out[rows] = np.repeat(cell_keys[cells], c)
-    county_out[rows] = np.repeat(county_col[cells], c)
+    x_out[:] = xs[take] + np.repeat(center_x[cells], c)
+    y_out[:] = ys[take] + np.repeat(center_y[cells], c)
+    keys_out[:] = np.repeat(cell_keys[cells], c)
+    county_out[:] = np.repeat(county_col[cells], c)
 
     # Offer draws: the c doubles after each group's candidate block,
     # searched through the per-class cdf exactly as Generator.choice does.
@@ -271,13 +290,13 @@ def _explode_chunk(
     pick_u = unserved_cols[3].searchsorted(u, side="right")
     pick_d = underserved_cols[3].searchsorted(u, side="right")
     is_unserved = np.repeat(g_class[group_slice], c) == 0
-    tech_out[rows] = np.where(
+    tech_out[:] = np.where(
         is_unserved, unserved_cols[0][pick_u], underserved_cols[0][pick_d]
     )
-    dl_out[rows] = np.where(
+    dl_out[:] = np.where(
         is_unserved, unserved_cols[1][pick_u], underserved_cols[1][pick_d]
     )
-    ul_out[rows] = np.where(
+    ul_out[:] = np.where(
         is_unserved, unserved_cols[2][pick_u], underserved_cols[2][pick_d]
     )
 
@@ -288,7 +307,6 @@ def _explode_chunk_reference(
     g_counts,
     g_cell,
     g_class,
-    row_starts,
     cell_keys,
     county_col,
     center_x,
@@ -301,6 +319,7 @@ def _explode_chunk_reference(
     from repro.demand.locations import _uniform_hexagon_points
 
     x_out, y_out, keys_out, county_out, tech_out, dl_out, ul_out = out
+    offset = 0
     for g in range(group_slice.start, group_slice.stop):
         count = int(g_counts[g])
         cell = int(g_cell[g])
@@ -309,7 +328,7 @@ def _explode_chunk_reference(
             rng, count, center_x[cell], center_y[cell], size_km
         )
         choices = cdf.searchsorted(rng.random(count), side="right")
-        rows = slice(int(row_starts[g]), int(row_starts[g]) + count)
+        rows = slice(offset, offset + count)
         x_out[rows] = points[:, 0]
         y_out[rows] = points[:, 1]
         keys_out[rows] = cell_keys[cell]
@@ -317,19 +336,17 @@ def _explode_chunk_reference(
         tech_out[rows] = tech_col[choices]
         dl_out[rows] = dl_col[choices]
         ul_out[rows] = ul_col[choices]
+        offset += count
 
 
-def runlength_unique_counts(
+def key_runs(
     keys: np.ndarray, unserved: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(unique_keys, unserved_counts, underserved_counts)`` for ``keys``.
+    """``(run_keys, run_total, run_unserved)`` for runs of equal ``keys``.
 
-    Equivalent to a full-array ``np.unique``/``bincount`` aggregation but
-    compresses runs of equal keys first, so the sort touches one entry
-    per *run* instead of one per row. Exploded tables arrive grouped by
-    cell — ~30 rows per run at national scale — making this the fused
-    ``bin_table`` kernel; for arbitrary (unsorted, run-free) keys it
-    degrades gracefully to the plain aggregation.
+    One entry per maximal run of equal neighbouring keys: its key, its
+    row count, and how many of its rows are flagged ``unserved``. Runs
+    of one chunk; :func:`merge_runs` combines any number of them.
     """
     if len(keys) == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -337,14 +354,43 @@ def runlength_unique_counts(
     run_starts = np.flatnonzero(
         np.concatenate([np.ones(1, dtype=bool), keys[1:] != keys[:-1]])
     )
-    run_keys = keys[run_starts]
     run_total = np.diff(
         np.concatenate([run_starts, np.array([len(keys)])])
     )
     run_unserved = np.add.reduceat(unserved.astype(np.int64), run_starts)
+    return keys[run_starts], run_total, run_unserved
+
+
+def merge_runs(
+    runs: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(unique_keys, unserved_counts, underserved_counts)`` over runs.
+
+    ``runs`` are :func:`key_runs` answers, one per chunk. A key may occur
+    in many runs (a run cut by a chunk edge, or keys out of order); its
+    counts are summed, so the answer equals a ``np.unique``/``bincount``
+    aggregation of the chunks' rows concatenated.
+    """
+    if not runs:
+        empty = np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.uint64), empty, empty
+    run_keys, run_total, run_unserved = (
+        np.concatenate(part) for part in zip(*runs)
+    )
     unique_keys, inverse = np.unique(run_keys, return_inverse=True)
     unserved_counts = np.zeros(len(unique_keys), dtype=np.int64)
     underserved_counts = np.zeros(len(unique_keys), dtype=np.int64)
     np.add.at(unserved_counts, inverse, run_unserved)
     np.add.at(underserved_counts, inverse, run_total - run_unserved)
     return unique_keys, unserved_counts, underserved_counts
+
+
+def runlength_unique_counts(
+    keys: np.ndarray, unserved: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(unique_keys, unserved_counts, underserved_counts)`` for ``keys``.
+
+    Equivalent to a full-array ``np.unique``/``bincount`` aggregation:
+    the runs of ``keys`` as one chunk, merged.
+    """
+    return merge_runs([key_runs(keys, unserved)])

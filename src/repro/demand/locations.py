@@ -93,7 +93,21 @@ class LocationRecord:
     @property
     def is_unserved(self) -> bool:
         """No offer at all, or one below 25/3 (the FCC 'unserved' bar)."""
-        return self.max_download_mbps < 25.0 or self.max_upload_mbps < 3.0
+        return bool(
+            _unserved_mask(self.max_download_mbps, self.max_upload_mbps)
+        )
+
+
+def _served_mask(downlink_mbps, uplink_mbps):
+    """The 100/20 reliable-broadband bar, per scalar or array element."""
+    return (downlink_mbps >= RELIABLE_BROADBAND_DOWNLINK_MBPS) & (
+        uplink_mbps >= RELIABLE_BROADBAND_UPLINK_MBPS
+    )
+
+
+def _unserved_mask(downlink_mbps, uplink_mbps):
+    """The FCC 25/3 'unserved' bar, per scalar or array element."""
+    return (downlink_mbps < 25.0) | (uplink_mbps < 3.0)
 
 
 #: Offer profiles drawn for unserved locations: (tech, dl, ul, weight).
@@ -135,10 +149,18 @@ def _offer_columns(
 _UNSERVED_COLUMNS = _offer_columns(_UNSERVED_OFFERS)
 _UNDERSERVED_COLUMNS = _offer_columns(_UNDERSERVED_OFFERS)
 
-#: Valid FCC technology codes, for vectorized validation.
-_VALID_TECHNOLOGY_CODES = np.array(
-    sorted(int(t) for t in TechnologyCode), dtype=np.int16
-)
+#: Validity of every int16 technology code, indexed by the code's uint16
+#: view (negative codes land above 32767): a check costs one bool per row.
+_VALID_TECHNOLOGY = np.zeros(1 << 16, dtype=bool)
+_VALID_TECHNOLOGY[
+    np.array([int(t) for t in TechnologyCode], dtype=np.int16).view(np.uint16)
+] = True
+
+
+def _unknown_technology(codes: np.ndarray) -> int:
+    """Index of the first invalid code in an int16 array, or -1."""
+    valid = _VALID_TECHNOLOGY[codes.view(np.uint16)]
+    return -1 if valid.all() else int(np.argmin(valid))
 
 
 def explode_cells(
@@ -313,17 +335,23 @@ def read_locations_csv(path: Union[str, Path]) -> List[LocationRecord]:
 # Columnar fast path
 # ---------------------------------------------------------------------------
 
-#: NPZ column names, in schema order (mirrors ``_LOCATION_HEADERS``).
-_TABLE_COLUMNS = (
-    "location_id",
-    "lat_deg",
-    "lon_deg",
-    "cell_key",
-    "county_id",
-    "technology",
-    "max_download_mbps",
-    "max_upload_mbps",
-)
+#: NPZ column names and dtypes, in schema order (mirrors
+#: ``_LOCATION_HEADERS``): what a table holds and :meth:`to_npz` writes.
+_TABLE_DTYPES = {
+    "location_id": np.dtype(np.int64),
+    "lat_deg": np.dtype(np.float64),
+    "lon_deg": np.dtype(np.float64),
+    "cell_key": np.dtype(np.uint64),
+    "county_id": np.dtype(np.int64),
+    "technology": np.dtype(np.int16),
+    "max_download_mbps": np.dtype(np.float64),
+    "max_upload_mbps": np.dtype(np.float64),
+}
+_TABLE_COLUMNS = tuple(_TABLE_DTYPES)
+
+#: Rows per :func:`bin_table` chunk: its mask, key and run temporaries
+#: stay ~1 MB each instead of growing with the table.
+_BIN_CHUNK_ROWS = 131_072
 
 
 @dataclass(eq=False)
@@ -346,16 +374,8 @@ class LocationTable:
     max_upload_mbps: np.ndarray
 
     def __post_init__(self) -> None:
-        self.location_id = np.asarray(self.location_id, dtype=np.int64)
-        self.lat_deg = np.asarray(self.lat_deg, dtype=float)
-        self.lon_deg = np.asarray(self.lon_deg, dtype=float)
-        self.cell_key = np.asarray(self.cell_key, dtype=np.uint64)
-        self.county_id = np.asarray(self.county_id, dtype=np.int64)
-        self.technology = np.asarray(self.technology, dtype=np.int16)
-        self.max_download_mbps = np.asarray(
-            self.max_download_mbps, dtype=float
-        )
-        self.max_upload_mbps = np.asarray(self.max_upload_mbps, dtype=float)
+        for name, dtype in _TABLE_DTYPES.items():
+            setattr(self, name, np.asarray(self._column(name), dtype=dtype))
         lengths = {len(self._column(name)) for name in _TABLE_COLUMNS}
         if len(lengths) > 1:
             raise DatasetError(
@@ -371,11 +391,10 @@ class LocationTable:
             raise DatasetError(
                 f"location {int(self.location_id[negative])}: negative speeds"
             )
-        if len(self):
-            unknown = ~np.isin(self.technology, _VALID_TECHNOLOGY_CODES)
-            if unknown.any():
-                bad = int(self.technology[unknown][0])
-                raise DatasetError(f"unknown technology code {bad!r}")
+        unknown = _unknown_technology(self.technology)
+        if unknown >= 0:
+            bad = int(self.technology[unknown])
+            raise DatasetError(f"unknown technology code {bad!r}")
 
     def _column(self, name: str) -> np.ndarray:
         return getattr(self, name)
@@ -387,13 +406,11 @@ class LocationTable:
 
     def is_served(self) -> np.ndarray:
         """Vectorized :attr:`LocationRecord.is_served` (100/20 bar)."""
-        return (
-            self.max_download_mbps >= RELIABLE_BROADBAND_DOWNLINK_MBPS
-        ) & (self.max_upload_mbps >= RELIABLE_BROADBAND_UPLINK_MBPS)
+        return _served_mask(self.max_download_mbps, self.max_upload_mbps)
 
     def is_unserved(self) -> np.ndarray:
         """Vectorized :attr:`LocationRecord.is_unserved` (FCC 25/3 bar)."""
-        return (self.max_download_mbps < 25.0) | (self.max_upload_mbps < 3.0)
+        return _unserved_mask(self.max_download_mbps, self.max_upload_mbps)
 
     # -- record interop ------------------------------------------------------
 
@@ -469,7 +486,10 @@ class LocationTable:
         caller copied out beforehand do not keep the mapping alive —
         NumPy memmap arrays hold no buffer export on the mmap, so the
         pages really are unmapped; don't read such views after close.
-        Idempotent; a no-op for in-memory tables.
+        That includes a :class:`~repro.serve.shards.ShardStore` (and so
+        any serving index) built over the table: it adopts sorted
+        columns as views, so close the table only once nothing queries
+        the index any more. Idempotent; a no-op for in-memory tables.
         """
         mmaps = []
         for name in _TABLE_COLUMNS:
@@ -533,6 +553,12 @@ class LocationTable:
         (:mod:`repro.serve`) hold the full table "in memory" without
         paying for it up front. Zero-length columns (an empty table)
         cannot be mmapped and fall back to ordinary empty arrays.
+        Compressed archives (``np.savez_compressed``) load eagerly only.
+
+        Both paths raise :class:`DatasetError` for a file that is not an
+        NPZ archive and for a column stored as anything but the flat
+        array of the dtype :meth:`to_npz` writes: a mistyped column is
+        refused, never cast, so a mapped column is used as stored.
         """
         file_path = Path(path)
         if not file_path.exists():
@@ -544,15 +570,62 @@ class LocationTable:
                 )
             with obs.span("locations.npz.mmap"):
                 return cls(**_mmap_npz_columns(file_path))
-        with obs.span("locations.npz.read"), np.load(file_path) as archive:
-            missing = [
-                name for name in _TABLE_COLUMNS if name not in archive.files
-            ]
-            if missing:
+        with obs.span("locations.npz.read"):
+            return cls(**_read_npz_columns(file_path))
+
+
+def _check_npz_column(
+    file_path: Path, name: str, dtype: np.dtype, shape: Tuple[int, ...]
+) -> None:
+    """Refuse a stored column that :meth:`LocationTable.to_npz` would not
+    have written: another dtype (or byte order), or not one-dimensional."""
+    expected = _TABLE_DTYPES[name]
+    if dtype != expected:
+        raise DatasetError(
+            f"{file_path}: column {name!r} is stored as {dtype}, "
+            f"expected {expected}"
+        )
+    if len(shape) != 1:
+        raise DatasetError(f"{file_path}: column {name!r} is not flat")
+
+
+def _read_npz_columns(file_path: Path) -> Dict[str, np.ndarray]:
+    """Read every table column of an NPZ archive into memory."""
+    import zipfile
+    import zlib
+
+    unreadable = (
+        OSError,
+        ValueError,
+        EOFError,
+        zipfile.BadZipFile,
+        zlib.error,
+    )
+    try:
+        archive = np.load(file_path, allow_pickle=False)
+    except unreadable as exc:
+        raise DatasetError(f"{file_path}: not an NPZ archive") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DatasetError(f"{file_path}: not an NPZ archive")
+    with archive:
+        missing = [
+            name for name in _TABLE_COLUMNS if name not in archive.files
+        ]
+        if missing:
+            raise DatasetError(
+                f"{file_path}: missing location table columns {missing}"
+            )
+        columns: Dict[str, np.ndarray] = {}
+        for name in _TABLE_COLUMNS:
+            try:
+                column = archive[name]
+            except unreadable as exc:
                 raise DatasetError(
-                    f"{file_path}: missing location table columns {missing}"
-                )
-            return cls(**{name: archive[name] for name in _TABLE_COLUMNS})
+                    f"{file_path}: column {name!r} is unreadable"
+                ) from exc
+            _check_npz_column(file_path, name, column.dtype, column.shape)
+            columns[name] = column
+    return columns
 
 
 def _mmap_npz_columns(file_path: Path) -> Dict[str, np.ndarray]:
@@ -614,7 +687,8 @@ def _mmap_npz_columns(file_path: Path) -> Dict[str, np.ndarray]:
                         f"npy format version {version}"
                     )
                 shape, fortran_order, dtype = header
-                if fortran_order or len(shape) != 1:
+                _check_npz_column(file_path, name, dtype, shape)
+                if fortran_order:
                     raise DatasetError(
                         f"{file_path}: column {name!r} is not a flat "
                         "C-ordered array"
@@ -643,9 +717,10 @@ def explode_cells_table(
     draws the raw doubles for thousands of (cell, class) groups per call
     instead of three tiny ``Generator`` dispatches per group.
     ``explode_cells_table(d, s)`` is bit-identical to
-    ``LocationTable.from_records(explode_cells(d, s))`` (and to the
-    retained per-group loop ``_explode_cells_table``, the differential
-    reference).
+    ``LocationTable.from_records(explode_cells(d, s))`` and to the
+    per-group loop in ``tests/oracles/explode.py``, the differential
+    reference. Positions are unprojected chunk by chunk, so the pass
+    allocates the table plus a few MB.
     """
     from repro.demand.fused import fused_explode_columns
 
@@ -656,93 +731,36 @@ def explode_cells_table(
         return fused_explode_columns(dataset, seed, span)
 
 
-def _explode_cells_table(
-    dataset: DemandDataset, seed: int, span
-) -> LocationTable:
-    """Per-group reference loop for :func:`explode_cells_table`.
-
-    Kept as the differential baseline the fused kernel is proven
-    against (tests/demand/test_fused.py) and as the rewind target for
-    chunks whose rejection sampling needs a second round.
-    """
-    rng = np.random.default_rng(seed)
-    grid = HexGrid(dataset.grid_resolution)
-    projection = EqualAreaProjection()
-    size_km = grid.hex_size_km
-    cell_keys = np.array([c.cell.key for c in dataset.cells], dtype=np.uint64)
-    center_lat, center_lon = grid.centers_many(cell_keys)
-    center_x, center_y = projection.forward_many(center_lat, center_lon)
-    total = sum(
-        c.unserved_locations + c.underserved_locations for c in dataset.cells
-    )
-    span.set(rows=total)
-    registry = obs.registry()
-    registry.counter("locations.explode.rows").inc(total)
-    registry.counter("locations.explode.cells").inc(len(dataset.cells))
-    x = np.empty(total)
-    y = np.empty(total)
-    keys = np.empty(total, dtype=np.uint64)
-    counties = np.empty(total, dtype=np.int64)
-    technology = np.empty(total, dtype=np.int16)
-    downlink = np.empty(total)
-    uplink = np.empty(total)
-    offset = 0
-    for index, cell in enumerate(dataset.cells):
-        cx = center_x[index]
-        cy = center_y[index]
-        for count, (tech_col, dl_col, ul_col, cdf) in (
-            (cell.unserved_locations, _UNSERVED_COLUMNS),
-            (cell.underserved_locations, _UNDERSERVED_COLUMNS),
-        ):
-            if count == 0:
-                continue
-            points = _uniform_hexagon_points(rng, count, cx, cy, size_km)
-            choices = cdf.searchsorted(rng.random(count), side="right")
-            span = slice(offset, offset + count)
-            x[span] = points[:, 0]
-            y[span] = points[:, 1]
-            keys[span] = cell_keys[index]
-            counties[span] = cell.county_id
-            technology[span] = tech_col[choices]
-            downlink[span] = dl_col[choices]
-            uplink[span] = ul_col[choices]
-            offset += count
-    lat, lon = projection.inverse_many(x, y)
-    return LocationTable(
-        location_id=np.arange(total, dtype=np.int64),
-        lat_deg=lat,
-        lon_deg=lon,
-        cell_key=keys,
-        county_id=counties,
-        technology=technology,
-        max_download_mbps=downlink,
-        max_upload_mbps=uplink,
-    )
-
-
 def bin_table(
     table: LocationTable, resolution: int
 ) -> Dict[CellId, Tuple[int, int]]:
-    """Columnar :func:`bin_locations`: identical counts, run-compressed.
+    """Columnar :func:`bin_locations`: identical counts, streamed.
 
-    Cells are re-derived from positions with
+    Walks the table in fixed row chunks. Per chunk it drops served rows,
+    re-derives cells from positions with
     :meth:`~repro.geo.hexgrid.HexGrid.cell_for_many` (bit-identical to
-    the scalar ``cell_for``), then aggregated by
-    :func:`~repro.demand.fused.runlength_unique_counts`: runs of equal
-    keys collapse first, so the unique sort touches one entry per run —
-    for exploded tables (grouped by cell) that is the cell count, not
-    the location count.
+    the scalar ``cell_for``), and compresses runs of equal keys
+    (:func:`~repro.demand.fused.key_runs`). The runs of every chunk are
+    merged once (:func:`~repro.demand.fused.merge_runs`), so the unique
+    sort touches one entry per run — for exploded tables (grouped by
+    cell) about the cell count — and no temporary grows with the table.
     """
-    from repro.demand.fused import runlength_unique_counts
+    from repro.demand.fused import key_runs, merge_runs
 
     with obs.span("locations.bin", rows=len(table)) as span:
         grid = HexGrid(resolution)
-        keep = ~table.is_served()
-        keys = grid.cell_for_many(table.lat_deg[keep], table.lon_deg[keep])
-        unserved = table.is_unserved()[keep]
-        unique_keys, unserved_counts, underserved_counts = (
-            runlength_unique_counts(keys, unserved)
-        )
+        runs = []
+        for start in range(0, len(table), _BIN_CHUNK_ROWS):
+            rows = slice(start, start + _BIN_CHUNK_ROWS)
+            downlink = table.max_download_mbps[rows]
+            uplink = table.max_upload_mbps[rows]
+            keep = ~_served_mask(downlink, uplink)
+            keys = grid.cell_for_many(
+                table.lat_deg[rows][keep], table.lon_deg[rows][keep]
+            )
+            unserved = _unserved_mask(downlink[keep], uplink[keep])
+            runs.append(key_runs(keys, unserved))
+        unique_keys, unserved_counts, underserved_counts = merge_runs(runs)
         span.set(cells_out=len(unique_keys))
         registry = obs.registry()
         registry.counter("locations.bin.rows").inc(len(table))
@@ -880,9 +898,9 @@ def _read_table_csv_body(file_path: Path, chunk_size: int) -> LocationTable:
                     f"{file_path}: malformed cell token"
                 ) from exc
             technology = np.array(columns[5], dtype=np.int16)
-            unknown = ~np.isin(technology, _VALID_TECHNOLOGY_CODES)
-            if unknown.any():
-                bad_row = chunk[int(np.flatnonzero(unknown)[0])]
+            unknown = _unknown_technology(technology)
+            if unknown >= 0:
+                bad_row = chunk[unknown]
                 raise DatasetError(
                     f"{file_path}: location {bad_row[0]}: unknown "
                     f"technology code {bad_row[5]!r}"

@@ -58,6 +58,10 @@ class EqualAreaProjection:
         lat = point.lat_deg
         if not -90.0 <= lat <= 90.0:
             raise GeometryError(f"latitude out of range: {lat!r}")
+        if not math.isfinite(point.lon_deg):
+            raise GeometryError(
+                f"longitude not finite: {float(point.lon_deg)!r}"
+            )
         lon = normalize_lon(point.lon_deg)
         x = self.radius_km * math.radians(lon)
         y = self.radius_km * math.sin(math.radians(lat))
@@ -97,6 +101,10 @@ class EqualAreaProjection:
         if lat.size and not in_range.all():
             bad = lat[~in_range][0]
             raise GeometryError(f"latitude out of range: {bad!r}")
+        finite = np.isfinite(lon)
+        if lon.size and not finite.all():
+            bad = float(lon[~finite][0])
+            raise GeometryError(f"longitude not finite: {bad!r}")
         x = self.radius_km * np.radians(normalize_lon_many(lon))
         y = self.radius_km * np.sin(np.radians(lat))
         return x, y

@@ -207,10 +207,12 @@ def build_index(
                 f"{int(table_counts[bad])}"
             )
         cell_county = columns["county_id"][inverse]
-        if len(store) and (
-            cell_county[store.row_cell] != store.county_id
-        ).any():
-            raise ServeError("table county join disagrees with dataset")
+        for shard in store.shards:
+            rows = slice(shard.row_start, shard.row_stop)
+            if (
+                cell_county[store.row_cell[rows]] != store.county_id[rows]
+            ).any():
+                raise ServeError("table county join disagrees with dataset")
         span.set(shards=len(store.shards))
         return ServeIndex(
             epoch=0,

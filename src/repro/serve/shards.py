@@ -4,7 +4,8 @@ The serving layer never scans the raw :class:`LocationTable`. At index
 build time the table is sorted once by (cell key, location id) and cut
 into contiguous shards aligned to cell boundaries — a cell's rows never
 straddle two shards, so a scenario change can recompute one shard's
-per-cell outcomes without touching its neighbours.
+per-cell outcomes without touching its neighbours. A table already in
+that order (every exploded table) is adopted without a sort or a copy.
 
 Row order within a cell (ascending location id) is load-bearing: a
 location is served iff its rank within its cell is below the scenario's
@@ -15,7 +16,7 @@ batch pipeline's ``min(count, cap)`` per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +31,36 @@ if TYPE_CHECKING:
 #: shard is cheap, large enough that per-shard overhead stays negligible
 #: at the 4.66 M-location national scale (~18 shards).
 DEFAULT_SHARD_ROWS = 262_144
+
+#: Rows per slice of the O(n) order check: its comparison temporaries
+#: stay ~128 KB, and a table out of order is refused at its first slice.
+_ORDER_CHECK_ROWS = 131_072
+
+#: The table columns a store keeps, sorted or adopted.
+_STORE_COLUMNS = (
+    "location_id",
+    "cell_key",
+    "county_id",
+    "lat_deg",
+    "lon_deg",
+)
+
+
+def _ascending(values: np.ndarray, strict: bool) -> bool:
+    """Whether ``values`` ascend (strictly, or allowing ties), by slices."""
+    compare = np.greater if strict else np.greater_equal
+    for start in range(1, len(values), _ORDER_CHECK_ROWS):
+        stop = min(start + _ORDER_CHECK_ROWS, len(values))
+        if not compare(values[start:stop], values[start - 1 : stop - 1]).all():
+            return False
+    return True
+
+
+def _read_only_view(column: np.ndarray) -> np.ndarray:
+    """A view of ``column`` that refuses writes (the column stays as is)."""
+    view = column.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -70,7 +101,7 @@ class ShardStore:
         row_cell: np.ndarray,
         rank_in_cell: np.ndarray,
         shards: Tuple[Shard, ...],
-        id_order: np.ndarray,
+        id_order: Optional[np.ndarray],
         ids_sorted: np.ndarray,
     ):
         self.location_id = location_id
@@ -83,6 +114,8 @@ class ShardStore:
         self.row_cell = row_cell
         self.rank_in_cell = rank_in_cell
         self.shards = shards
+        #: Row of each id in ``ids_sorted`` order; None when the rows
+        #: already are in id order (an adopted table).
         self._id_order = id_order
         self._ids_sorted = ids_sorted
         self._cell_tokens = None
@@ -105,24 +138,51 @@ class ShardStore:
         table: LocationTable,
         target_shard_rows: int = DEFAULT_SHARD_ROWS,
     ) -> "ShardStore":
-        """Sort, index, and shard a location table."""
+        """Sort, index, and shard a location table.
+
+        A table already in (cell key, location id) order with unique ids
+        — every exploded table, and its NPZ mapped back with
+        ``from_npz(..., mmap_mode="r")`` — is adopted: the store's five
+        columns are read-only views of the table's (of the file's pages,
+        for a mapped table), nothing is sorted or gathered, and a
+        location id's row is its position in ``location_id``. The check
+        is one O(n) pass over the ids and keys.
+
+        An adopted store lives on the table's memory. Do not write to
+        the table's columns afterwards, and do not query the store, or
+        any index built over it, after :meth:`LocationTable.close`: the
+        mapping is gone then. Any other table is sorted into copies the
+        store owns.
+        """
         if target_shard_rows <= 0:
             raise ServeError(
                 f"target shard rows must be positive: {target_shard_rows!r}"
             )
         with obs.span("serve.shards.build", rows=len(table)) as span:
-            order, id_order = cls._sort_orders(table)
-            location_id = np.ascontiguousarray(table.location_id[order])
-            cell_key = np.ascontiguousarray(table.cell_key[order])
-            county_id = np.ascontiguousarray(table.county_id[order])
-            lat_deg = np.ascontiguousarray(table.lat_deg[order])
-            lon_deg = np.ascontiguousarray(table.lon_deg[order])
+            adopted = _ascending(table.location_id, strict=True) and (
+                _ascending(table.cell_key, strict=False)
+            )
+            if adopted:
+                # Keys ascend, so each cell is one run in key order, and
+                # ids ascend within it: the sort is the identity.
+                location_id, cell_key, county_id, lat_deg, lon_deg = (
+                    _read_only_view(getattr(table, name))
+                    for name in _STORE_COLUMNS
+                )
+                id_order = None
+                ids_sorted = location_id
+            else:
+                order, id_order = cls._sort_orders(table)
+                location_id, cell_key, county_id, lat_deg, lon_deg = (
+                    np.ascontiguousarray(getattr(table, name)[order])
+                    for name in _STORE_COLUMNS
+                )
+                # Ids in ascending order: a duplicate shows up as an
+                # equal neighbour, so one O(n) pass finds it.
+                ids_sorted = location_id[id_order]
+                if not _ascending(ids_sorted, strict=True):
+                    raise ServeError("duplicate location ids in table")
             n = len(location_id)
-            # Ids in ascending order: a duplicate shows up as an equal
-            # neighbour, so one O(n) pass finds it.
-            ids_sorted = location_id[id_order]
-            if n and not (ids_sorted[1:] > ids_sorted[:-1]).all():
-                raise ServeError("duplicate location ids in table")
             # Rows are sorted by cell key, so each cell is one run; the
             # cell directory is the run boundaries.
             first_rows = np.flatnonzero(
@@ -134,9 +194,16 @@ class ShardStore:
                 np.arange(len(unique_keys), dtype=np.int64),
                 np.diff(cell_starts),
             )
-            rank_in_cell = np.arange(n, dtype=np.int64) - cell_starts[row_cell]
             shards = cls._cut_shards(cell_starts, target_shard_rows)
-            span.set(cells=len(unique_keys), shards=len(shards))
+            # A row's rank is its offset from its cell's first row;
+            # shard by shard, so no gather spans the whole table.
+            rank_in_cell = np.arange(n, dtype=np.int64)
+            for shard in shards:
+                rows = slice(shard.row_start, shard.row_stop)
+                rank_in_cell[rows] -= cell_starts[row_cell[rows]]
+            span.set(
+                cells=len(unique_keys), shards=len(shards), adopted=adopted
+            )
             return cls(
                 location_id=location_id,
                 cell_key=cell_key,
@@ -241,6 +308,8 @@ class ShardStore:
         found = self._ids_sorted[positions] == ids
         if not found.all():
             raise ServeError(f"unknown location id {int(ids[~found][0])}")
+        if self._id_order is None:
+            return positions
         return self._id_order[positions]
 
     def cell_index_for_keys(self, keys) -> np.ndarray:

@@ -1,22 +1,27 @@
 """Differential proofs for the fused demand kernels.
 
 The batched-RNG explode (:mod:`repro.demand.fused`) and the run-length
-bin aggregation must be **bit-identical** to the retained per-group
-reference loop on arbitrary datasets — including when a chunk is forced
-down the generator-rewind path, and across chunk boundaries.
+bin aggregation must be **bit-identical** to the per-group reference
+loop (``tests/oracles/explode.py``) on arbitrary datasets — including
+when a chunk is forced down the generator-rewind path, and across chunk
+boundaries.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.demand import fused
+from repro.demand import fused, locations
 from repro.demand.dataset import DemandDataset
 from repro.demand.bsl import County, ServiceCell
-from repro.demand.fused import fused_explode_columns, runlength_unique_counts
+from repro.demand.fused import (
+    key_runs,
+    merge_runs,
+    runlength_unique_counts,
+)
 from repro.demand.locations import (
+    _TABLE_COLUMNS as _COLUMNS,
     LocationTable,
-    _explode_cells_table,
     bin_locations,
     bin_table,
     explode_cells,
@@ -25,10 +30,7 @@ from repro.demand.locations import (
 from repro.geo.coords import LatLon
 from repro.geo.hexgrid import CellId, HexGrid
 
-
-class _NullSpan:
-    def set(self, **attrs):
-        pass
+from tests.oracles.explode import reference_explode_table
 
 
 def _dataset_from_counts(counts):
@@ -57,10 +59,6 @@ def _dataset_from_counts(counts):
     )
 
 
-def _reference_table(dataset, seed):
-    return _explode_cells_table(dataset, seed, _NullSpan())
-
-
 count_pairs = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=80),
@@ -77,7 +75,7 @@ class TestFusedExplodeDifferential:
     def test_matches_reference_loop(self, counts, seed):
         dataset = _dataset_from_counts(counts)
         fused_table = explode_cells_table(dataset, seed=seed)
-        assert fused_table.equals(_reference_table(dataset, seed))
+        assert fused_table.equals(reference_explode_table(dataset, seed))
 
     @given(count_pairs, st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=10, deadline=None)
@@ -94,7 +92,7 @@ class TestFusedExplodeDifferential:
     def test_forced_rewind_matches(self, counts, seed):
         """The snapshot/rewind path replays the reference stream exactly."""
         dataset = _dataset_from_counts(counts)
-        expected = _reference_table(dataset, seed)
+        expected = reference_explode_table(dataset, seed)
         fused._FORCE_REWIND = True
         try:
             assert explode_cells_table(dataset, seed=seed).equals(expected)
@@ -106,7 +104,7 @@ class TestFusedExplodeDifferential:
     def test_tiny_chunks_match(self, counts, seed):
         """Chunk boundaries never leak into the output (1 group/chunk)."""
         dataset = _dataset_from_counts(counts)
-        expected = _reference_table(dataset, seed)
+        expected = reference_explode_table(dataset, seed)
         chunk_draws = fused._CHUNK_DRAWS
         fused._CHUNK_DRAWS = 1
         try:
@@ -118,7 +116,7 @@ class TestFusedExplodeDifferential:
         # Interleaved zero groups must not shift any later cell's stream.
         sparse = _dataset_from_counts([(5, 0), (0, 0), (0, 7), (3, 3)])
         assert explode_cells_table(sparse, seed=11).equals(
-            _reference_table(sparse, 11)
+            reference_explode_table(sparse, 11)
         )
 
     def test_empty_dataset_rows(self):
@@ -160,3 +158,83 @@ class TestFusedBinDifferential:
             np.empty(0, dtype=np.uint64), np.empty(0, dtype=bool)
         )
         assert len(keys) == len(uns) == len(und) == 0
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=9), max_size=60),
+        st.lists(st.booleans(), max_size=60),
+        st.lists(st.integers(min_value=0, max_value=60), max_size=6),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_merged_chunk_runs_match_one_chunk(self, key_values, flags, cuts):
+        """Cutting the rows anywhere, runs included, changes no count."""
+        n = min(len(key_values), len(flags))
+        keys = np.asarray(key_values[:n], dtype=np.uint64)
+        unserved = np.asarray(flags[:n], dtype=bool)
+        edges = [0, *sorted(min(cut, n) for cut in cuts), n]
+        runs = [
+            key_runs(keys[a:b], unserved[a:b])
+            for a, b in zip(edges, edges[1:])
+        ]
+        expected = runlength_unique_counts(keys, unserved)
+        for got, want in zip(merge_runs(runs), expected):
+            assert np.array_equal(got, want)
+            assert got.dtype == want.dtype
+
+
+def _bin_in_chunks(table, resolution, chunk_rows):
+    """``bin_table`` with its row chunk shrunk to ``chunk_rows``."""
+    saved = locations._BIN_CHUNK_ROWS
+    locations._BIN_CHUNK_ROWS = chunk_rows
+    try:
+        return bin_table(table, resolution)
+    finally:
+        locations._BIN_CHUNK_ROWS = saved
+
+
+def _with_served_rows(table, served):
+    """``table`` with the rows flagged in ``served`` raised to 100/20."""
+    mask = np.zeros(len(table), dtype=bool)
+    flags = np.asarray(served[: len(table)], dtype=bool)
+    mask[: len(flags)] = flags
+    columns = {name: getattr(table, name) for name in _COLUMNS}
+    columns["max_download_mbps"] = np.where(
+        mask, 100.0, table.max_download_mbps
+    )
+    columns["max_upload_mbps"] = np.where(mask, 20.0, table.max_upload_mbps)
+    return LocationTable(**columns)
+
+
+class TestBinChunkEdges:
+    """Chunk edges never leak into bin counts (1-3 rows per chunk)."""
+
+    @given(
+        count_pairs,
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=1, max_value=3),
+        st.lists(st.booleans(), max_size=200),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_tiny_chunks_match_scalar(self, counts, seed, chunk_rows, served):
+        dataset = _dataset_from_counts(counts)
+        table = _with_served_rows(explode_cells_table(dataset, seed), served)
+        for resolution in (5, 4):
+            expected = bin_locations(table.to_records(), resolution)
+            assert _bin_in_chunks(table, resolution, chunk_rows) == expected
+            assert bin_table(table, resolution) == expected
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    def test_run_split_across_edges_and_all_served_chunk(self, chunk_rows):
+        # Two 7-row cells (runs every chunk size cuts); rows 6-8 meet
+        # 100/20, so with 3-row chunks one chunk keeps nothing at all.
+        table = explode_cells_table(_dataset_from_counts([(4, 3), (2, 5)]), 3)
+        table = _with_served_rows(table, [False] * 6 + [True] * 3)
+        served = table.is_served()
+        assert served[6:9].all() and served.sum() == 3
+        expected = bin_locations(table.to_records(), 5)
+        assert sum(u + d for u, d in expected.values()) == len(table) - 3
+        assert _bin_in_chunks(table, 5, chunk_rows) == expected
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    def test_empty_table(self, chunk_rows):
+        table = explode_cells_table(_dataset_from_counts([(0, 0)]), seed=2)
+        assert _bin_in_chunks(table, 5, chunk_rows) == {}

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.demand.bsl import County, ServiceCell
 from repro.demand.dataset import DemandDataset
 from repro.demand.locations import (
+    _TABLE_COLUMNS,
     LocationRecord,
     LocationTable,
     TechnologyCode,
@@ -298,6 +299,83 @@ class TestNpz:
         target.write_bytes(b"not a zip archive at all")
         with pytest.raises(DatasetError, match="not an NPZ archive"):
             LocationTable.from_npz(target, mmap_mode="r")
+
+
+class TestNpzBoundary:
+    """Bad archives and mistyped columns are a DatasetError on both paths."""
+
+    def _columns(self, table, **overrides):
+        columns = {name: getattr(table, name) for name in _TABLE_COLUMNS}
+        columns.update(overrides)
+        return columns
+
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"not a zip archive at all", b"", b"PK\x03\x04truncated"],
+        ids=["garbage", "empty", "zip-magic"],
+    )
+    def test_non_archive(self, tmp_path, mmap_mode, content):
+        target = tmp_path / "bad.npz"
+        target.write_bytes(content)
+        with pytest.raises(DatasetError, match="not an NPZ archive"):
+            LocationTable.from_npz(target, mmap_mode=mmap_mode)
+
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_truncated_archive(self, tmp_path, mmap_mode):
+        table = explode_cells_table(build_toy_dataset([40, 7]), seed=2)
+        path = table.to_npz(tmp_path / "table")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(DatasetError, match="not an NPZ archive"):
+            LocationTable.from_npz(path, mmap_mode=mmap_mode)
+
+    def test_plain_npy_file(self, tmp_path):
+        target = tmp_path / "ids.npz"
+        with target.open("wb") as handle:
+            np.save(handle, np.arange(3))
+        with pytest.raises(DatasetError, match="not an NPZ archive"):
+            LocationTable.from_npz(target)
+
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    @pytest.mark.parametrize(
+        "name, column",
+        [
+            ("location_id", np.array([1.5, 2.7])),
+            ("technology", np.array([10.6, 50.0])),
+            ("county_id", np.array([0, 1], dtype=np.int32)),
+            ("lat_deg", np.array([37.0, 37.1], dtype=np.float32)),
+            ("cell_key", np.array([1, 2], dtype=">u8")),
+        ],
+        ids=["float-ids", "float-tech", "int32", "float32", "big-endian"],
+    )
+    def test_mistyped_column_is_refused_not_cast(
+        self, tmp_path, mmap_mode, name, column
+    ):
+        table = explode_cells_table(build_toy_dataset([2]), seed=2)
+        target = tmp_path / "typed.npz"
+        np.savez(target, **self._columns(table, **{name: column}))
+        with pytest.raises(DatasetError, match=f"column '{name}' is stored"):
+            LocationTable.from_npz(target, mmap_mode=mmap_mode)
+
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_two_dimensional_column(self, tmp_path, mmap_mode):
+        table = explode_cells_table(build_toy_dataset([2]), seed=2)
+        target = tmp_path / "shaped.npz"
+        lat = np.stack([table.lat_deg, table.lat_deg], axis=1)
+        np.savez(target, **self._columns(table, lat_deg=lat))
+        with pytest.raises(DatasetError, match="'lat_deg' is not flat"):
+            LocationTable.from_npz(target, mmap_mode=mmap_mode)
+
+    def test_compressed_archive_checks_dtypes_too(self, tmp_path):
+        table = explode_cells_table(build_toy_dataset([2]), seed=2)
+        target = tmp_path / "packed.npz"
+        np.savez_compressed(
+            target,
+            **self._columns(table, location_id=np.array([1.5, 2.7])),
+        )
+        with pytest.raises(DatasetError, match="'location_id' is stored"):
+            LocationTable.from_npz(target)
 
 
 class TestClose:

@@ -1,6 +1,7 @@
 """Tests for the hexagonal discrete global grid."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -395,6 +396,17 @@ class TestEdgeGeometry:
             assert center.lat_deg == pytest.approx(10.0, abs=0.5)
             assert -180.0 <= center.lon_deg < 180.0
             assert abs(abs(center.lon_deg) - 180.0) < 0.5
+
+    @pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_longitude_is_a_geometry_error(self, grid, lon):
+        """Refused up front: no cast or fmod RuntimeWarning, and not the
+        misleading "axial coordinate out of range"."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="longitude not finite"):
+                grid.cell_for_many(np.array([37.0]), np.array([lon]))
+            with pytest.raises(GeometryError, match="longitude not finite"):
+                grid.cell_for(LatLon(37.0, lon))
 
     def test_equator_cells_symmetric(self, grid):
         north = grid.cell_for(LatLon(0.01, -100.0))

@@ -1,6 +1,7 @@
 """Tests for the equal-area cylindrical projection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,19 @@ class TestVectorized:
             EqualAreaProjection().forward_many(
                 np.array([float("nan")]), np.array([0.0])
             )
+
+    @pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_longitude_rejected_before_arithmetic(self, lon):
+        """Both paths name the value, with no NumPy warning on the way."""
+        projection = EqualAreaProjection()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=f"longitude.*{lon}"):
+                projection.forward(LatLon(37.0, lon))
+            with pytest.raises(GeometryError, match=f"longitude.*{lon}"):
+                projection.forward_many(
+                    np.array([37.0, 37.0]), np.array([-90.0, lon])
+                )
 
     def test_forward_many_rejects_shape_mismatch(self):
         with pytest.raises(GeometryError):

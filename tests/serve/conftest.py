@@ -1,8 +1,8 @@
 """Shared serving-layer fixtures.
 
 The toy serving stack is rebuilt per test (cheap); the national index —
-explode + sort of the full 4.66M-location table — is session-scoped, like
-the national dataset it derives from.
+the full 4.66M-location table exploded, then adopted by the store — is
+session-scoped, like the national dataset it derives from.
 """
 
 from __future__ import annotations

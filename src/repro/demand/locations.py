@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -839,17 +840,105 @@ def _write_table_csv_body(
 
 
 def _csv_chunks(
-    reader: Iterator[List[str]], chunk_size: int
-) -> Iterator[List[List[str]]]:
-    """Yield raw CSV rows in lists of at most ``chunk_size``."""
+    reader, chunk_size: int, file_path: Path
+) -> Iterator[Tuple[List[List[str]], List[int]]]:
+    """Yield ``(rows, line numbers)`` in lists of at most ``chunk_size``.
+
+    Every row must have exactly the header's fields: a short, truncated
+    or overlong row is a :class:`DatasetError` naming its line.
+    """
+    width = len(_LOCATION_HEADERS)
     chunk: List[List[str]] = []
+    lines: List[int] = []
     for row in reader:
+        if len(row) != width:
+            raise DatasetError(
+                f"{file_path}: line {reader.line_num}: expected {width} "
+                f"fields, got {len(row)}"
+            )
         chunk.append(row)
+        lines.append(reader.line_num)
         if len(chunk) == chunk_size:
-            yield chunk
-            chunk = []
+            yield chunk, lines
+            chunk, lines = [], []
     if chunk:
-        yield chunk
+        yield chunk, lines
+
+
+def _first_unparsable(values: Tuple[str, ...], parse) -> int:
+    """Index of the first value ``parse`` refuses (a column failed)."""
+    for index, value in enumerate(values):
+        try:
+            parse((value,))
+        except (ValueError, OverflowError):
+            return index
+    raise AssertionError("column failed to parse, but every value parses")
+
+
+def _cell_keys(tokens: Tuple[str, ...]) -> np.ndarray:
+    """Packed cell keys of hex tokens, each distinct token parsed once."""
+    unique, inverse = np.unique(tokens, return_inverse=True)
+    keys = np.array([int(token, 16) for token in unique], dtype=np.uint64)
+    return keys[inverse]
+
+
+#: Finite range of each checked CSV column; NaN fails every comparison,
+#: so a range test refuses it too.
+_CSV_RANGES = {
+    "lat_deg": (-90.0, 90.0),
+    "lon_deg": (-180.0, 180.0),
+    "max_download_mbps": (0.0, np.inf),
+    "max_upload_mbps": (0.0, np.inf),
+}
+
+
+def _parse_csv_chunk(
+    chunk: List[List[str]], lines: List[int], file_path: Path
+) -> Tuple[np.ndarray, ...]:
+    """One chunk of CSV rows as table columns, in schema order.
+
+    A field that does not parse as its column's dtype, a value outside
+    its column's finite range and an unknown technology code are each a
+    :class:`DatasetError` naming the line of the first such row.
+    """
+
+    def refuse(row: int, message: str) -> DatasetError:
+        return DatasetError(f"{file_path}: line {lines[row]}: {message}")
+
+    raw = dict(zip(_TABLE_COLUMNS, zip(*chunk)))
+    columns: Dict[str, np.ndarray] = {}
+    for name, dtype in _TABLE_DTYPES.items():
+        values = raw[name]
+        if name == "cell_key":
+            parse = _cell_keys
+        else:
+            parse = functools.partial(np.array, dtype=dtype)
+        try:
+            columns[name] = parse(values)
+        except (ValueError, OverflowError):
+            row = _first_unparsable(values, parse)
+            if name == "cell_key":
+                message = f"malformed cell token {values[row]!r}"
+            else:
+                message = f"{name} {values[row]!r} is not a {dtype} value"
+            raise refuse(row, message) from None
+    for name, (low, high) in _CSV_RANGES.items():
+        values = columns[name]
+        bad = ~((values >= low) & (values <= high) & np.isfinite(values))
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise refuse(
+                row, f"{name} {raw[name][row]!r} is not finite in "
+                f"[{low:g}, {high:g}]"
+            )
+    unknown = _unknown_technology(columns["technology"])
+    if unknown >= 0:
+        raise refuse(
+            unknown,
+            f"location {raw['location_id'][unknown]}: unknown technology "
+            f"code {raw['technology'][unknown]!r}",
+        )
+    return tuple(columns[name] for name in _TABLE_COLUMNS)
 
 
 def read_table_csv(
@@ -860,7 +949,12 @@ def read_table_csv(
     Accepts exactly the files :func:`write_locations_csv` /
     :func:`write_table_csv` produce; parses ``chunk_size`` rows at a time
     into columns so the peak overhead is one chunk of strings, not a full
-    record list. Unknown technology codes raise :class:`DatasetError`.
+    record list. Anything else is a :class:`DatasetError` naming the file
+    (and the line, for a bad row): headers other than the schema's, a row
+    without exactly its eight fields, a field that does not parse, a
+    latitude outside [-90, 90] or longitude outside [-180, 180] (NaN and
+    infinity included), a speed that is not finite and >= 0, and an
+    unknown technology code.
     """
     if chunk_size <= 0:
         raise DatasetError(f"chunk size must be positive: {chunk_size!r}")
@@ -884,39 +978,8 @@ def _read_table_csv_body(file_path: Path, chunk_size: int) -> LocationTable:
             raise DatasetError(
                 f"{file_path}: unexpected headers {headers}"
             )
-        for chunk in _csv_chunks(reader, chunk_size):
-            columns = list(zip(*chunk))
-            tokens, token_inverse = np.unique(
-                np.array(columns[3]), return_inverse=True
-            )
-            try:
-                keys = np.array(
-                    [int(token, 16) for token in tokens], dtype=np.uint64
-                )
-            except ValueError as exc:
-                raise DatasetError(
-                    f"{file_path}: malformed cell token"
-                ) from exc
-            technology = np.array(columns[5], dtype=np.int16)
-            unknown = _unknown_technology(technology)
-            if unknown >= 0:
-                bad_row = chunk[unknown]
-                raise DatasetError(
-                    f"{file_path}: location {bad_row[0]}: unknown "
-                    f"technology code {bad_row[5]!r}"
-                )
-            parts.append(
-                (
-                    np.array(columns[0], dtype=np.int64),
-                    np.array(columns[1], dtype=float),
-                    np.array(columns[2], dtype=float),
-                    keys[token_inverse],
-                    np.array(columns[4], dtype=np.int64),
-                    technology,
-                    np.array(columns[6], dtype=float),
-                    np.array(columns[7], dtype=float),
-                )
-            )
+        for chunk, lines in _csv_chunks(reader, chunk_size, file_path):
+            parts.append(_parse_csv_chunk(chunk, lines, file_path))
     if not parts:
         empty = np.zeros(0)
         return LocationTable(empty, empty, empty, empty, empty, empty, empty, empty)

@@ -78,8 +78,8 @@ class QueryEngine:
         index = self._index
         rows = index.store.rows_for_location_ids(location_ids)
         store = index.store
-        cells = store.row_cell[rows]
-        ranks = store.rank_in_cell[rows]
+        cells = store.cells_for_rows(rows)
+        ranks = rows - store.cell_starts[cells]
         tokens = store.cell_tokens
         affordable_names = self._affordable_names(index)
         cell_list = cells.tolist()

@@ -207,11 +207,12 @@ def build_index(
                 f"{int(table_counts[bad])}"
             )
         cell_county = columns["county_id"][inverse]
+        # Each cell's county, repeated over its rows, shard by shard.
         for shard in store.shards:
+            cells = slice(shard.cell_start, shard.cell_stop)
+            expected = np.repeat(cell_county[cells], table_counts[cells])
             rows = slice(shard.row_start, shard.row_stop)
-            if (
-                cell_county[store.row_cell[rows]] != store.county_id[rows]
-            ).any():
+            if (expected != store.county_id[rows]).any():
                 raise ServeError("table county join disagrees with dataset")
         span.set(shards=len(store.shards))
         return ServeIndex(

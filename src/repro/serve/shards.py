@@ -98,8 +98,6 @@ class ShardStore:
         lon_deg: np.ndarray,
         unique_keys: np.ndarray,
         cell_starts: np.ndarray,
-        row_cell: np.ndarray,
-        rank_in_cell: np.ndarray,
         shards: Tuple[Shard, ...],
         id_order: Optional[np.ndarray],
         ids_sorted: np.ndarray,
@@ -111,8 +109,6 @@ class ShardStore:
         self.lon_deg = lon_deg
         self.unique_keys = unique_keys
         self.cell_starts = cell_starts
-        self.row_cell = row_cell
-        self.rank_in_cell = rank_in_cell
         self.shards = shards
         #: Row of each id in ``ids_sorted`` order; None when the rows
         #: already are in id order (an adopted table).
@@ -190,17 +186,7 @@ class ShardStore:
             )
             unique_keys = cell_key[first_rows]
             cell_starts = np.append(first_rows, n).astype(np.int64)
-            row_cell = np.repeat(
-                np.arange(len(unique_keys), dtype=np.int64),
-                np.diff(cell_starts),
-            )
             shards = cls._cut_shards(cell_starts, target_shard_rows)
-            # A row's rank is its offset from its cell's first row;
-            # shard by shard, so no gather spans the whole table.
-            rank_in_cell = np.arange(n, dtype=np.int64)
-            for shard in shards:
-                rows = slice(shard.row_start, shard.row_stop)
-                rank_in_cell[rows] -= cell_starts[row_cell[rows]]
             span.set(
                 cells=len(unique_keys), shards=len(shards), adopted=adopted
             )
@@ -212,8 +198,6 @@ class ShardStore:
                 lon_deg=lon_deg,
                 unique_keys=unique_keys,
                 cell_starts=cell_starts,
-                row_cell=row_cell,
-                rank_in_cell=rank_in_cell,
                 shards=shards,
                 id_order=id_order,
                 ids_sorted=ids_sorted,
@@ -269,23 +253,33 @@ class ShardStore:
     def _cut_shards(
         cell_starts: np.ndarray, target_shard_rows: int
     ) -> Tuple[Shard, ...]:
-        """Cut cell-boundary-aligned shards of roughly ``target`` rows."""
+        """Cut cell-boundary-aligned shards of roughly ``target`` rows.
+
+        A shard opened at cell ``start`` closes at the first cell whose
+        end reaches ``cell_starts[start] + target`` (or at the last
+        cell): one binary search per shard.
+        """
         n_cells = len(cell_starts) - 1
+        # Past every cell end, so a huge target closes at the last cell
+        # without overflowing int64 in the search.
+        beyond = int(cell_starts[-1]) + 1
         shards = []
         cell_start = 0
-        for cell_stop in range(1, n_cells + 1):
-            rows = cell_starts[cell_stop] - cell_starts[cell_start]
-            if rows >= target_shard_rows or cell_stop == n_cells:
-                shards.append(
-                    Shard(
-                        index=len(shards),
-                        row_start=int(cell_starts[cell_start]),
-                        row_stop=int(cell_starts[cell_stop]),
-                        cell_start=cell_start,
-                        cell_stop=cell_stop,
-                    )
+        while cell_start < n_cells:
+            reach = min(
+                int(cell_starts[cell_start]) + target_shard_rows, beyond
+            )
+            cell_stop = min(int(np.searchsorted(cell_starts, reach)), n_cells)
+            shards.append(
+                Shard(
+                    index=len(shards),
+                    row_start=int(cell_starts[cell_start]),
+                    row_stop=int(cell_starts[cell_stop]),
+                    cell_start=cell_start,
+                    cell_stop=cell_stop,
                 )
-                cell_start = cell_stop
+            )
+            cell_start = cell_stop
         return tuple(shards)
 
     def __len__(self) -> int:
@@ -311,6 +305,15 @@ class ShardStore:
         if self._id_order is None:
             return positions
         return self._id_order[positions]
+
+    def cells_for_rows(self, rows) -> np.ndarray:
+        """Index into :attr:`unique_keys` of each sorted-table row.
+
+        A row's cell is the last cell starting at or before it, so no
+        per-row column is kept; its rank within the cell is
+        ``rows - cell_starts[cells]``.
+        """
+        return np.searchsorted(self.cell_starts, rows, side="right") - 1
 
     def cell_index_for_keys(self, keys) -> np.ndarray:
         """Index into :attr:`unique_keys` per key, or -1 where absent."""

@@ -184,13 +184,10 @@ def _live_candidates(
         shape=(visibility.n_cells, visibility.n_satellites),
     )
     # CSR -> CSC *is* the transpose grouping: one compiled counting
-    # sort, no COO intermediate, no expanded cell-id array.
+    # sort, no COO intermediate, no expanded cell-id array. Its indices
+    # only ever index ``alive``, so they stay in scipy's index dtype.
     csc = matrix.tocsc()
-    return (
-        csc.indptr,
-        csc.indices.astype(np.int64, copy=False),
-        np.diff(visibility.indptr),
-    )
+    return csc.indptr, csc.indices, np.diff(visibility.indptr)
 
 
 class GreedyDemandFirst(BeamAssignmentStrategy):

@@ -10,22 +10,31 @@ both halves with array machinery:
   so strategies, impairments, and metrics can operate on it with bulk
   NumPy ops. ``to_lists()`` adapts back to the legacy list-of-arrays API.
 * :class:`VisibilityIndex` precomputes everything that does not change
-  between steps: the KD-tree over the (static, Earth-fixed) demand
-  cells, and each shell's epoch ECI geometry. Per step, satellite
-  positions are a *rotation* of the cached epoch geometry (circular
-  orbits: ``pos(t) = cos(nt) pos0 + sin(nt) tan0``, then one Earth-spin
-  matrix), so a step costs two scalar trig calls per shell plus sparse
-  KD-tree range queries — no tree is ever rebuilt.
+  between steps: KD-trees over the (static, Earth-fixed) demand cells,
+  one per chunk of consecutive cells, and each shell's epoch ECI
+  geometry. Per step, satellite positions are a *rotation* of the cached
+  epoch geometry (circular orbits: ``pos(t) = cos(nt) pos0 + sin(nt)
+  tan0``, then one Earth-spin matrix), so a step costs two scalar trig
+  calls per shell plus sparse KD-tree range queries — no cell tree is
+  ever rebuilt.
+
+Every per-step pass walks the cells chunk by chunk (``_CHUNK_CELLS``
+consecutive cells, one tree each) and a step's CSR is the concatenation
+of the per-chunk CSRs, so no pass allocates a temporary that grows with
+the pair count. Maps are generated in grid order, so a chunk is a
+compact strip of cells; a cell order that is not spatially compact still
+gets exact answers, its chunk trees just overlap more.
 
 Two per-step modes produce bit-identical relations:
 
-* **rebuild** — one exact sparse range query per shell against the cell
-  tree, grouped into CSR by :func:`group_pairs` (a counting sort, so the
-  step is O(nnz) with no fused sort key to overflow).
+* **rebuild** — one exact sparse range query per shell and chunk,
+  grouped into CSR by :func:`group_pairs` (a counting sort, so the step
+  is O(nnz) with no fused sort key to overflow).
 * **cached** — once per window of K steps, a single *inflated* range
   query (``chord + max displacement over the half-window``) collects a
-  candidate superset; each step inside the window refines the cached
-  (cell, satellite) pairs with one vectorized exact chord-distance
+  candidate superset, kept as cell-major satellite ids plus per-cell
+  offsets (4 bytes per candidate); each step inside the window refines
+  the candidates chunk by chunk with one vectorized exact chord-distance
   check and compresses the survivors into CSR. No KD-tree construction
   or sparse query runs inside the step loop. The inflation radius is a
   strict bound on satellite motion (circular orbits at fixed radius:
@@ -196,9 +205,19 @@ class _ShellGeometry:
 #: emitted pair (sparse dual-tree query + CSR grouping); a cached step
 #: costs ~60 ns per *candidate* (exact refine + CSR compaction). The
 #: auto policy only has to rank K values, so the ratio matters, not the
-#: absolute numbers.
+#: absolute numbers. These are the single cell-tree costs; the chunked
+#: passes are cheaper per pair and per candidate, but new constants
+#: would change the windows auto picks, so the policy keeps these until
+#: it is retuned on a national day run.
 _REBUILD_NS_PER_PAIR = 95.0
 _REFINE_NS_PER_CANDIDATE = 60.0
+
+#: Cells per KD-tree chunk. Each per-step pass holds one chunk's pairs
+#: at a time; at res 6 a chunk is a ~3 degree strip of longitude with
+#: ~0.5 M candidate pairs. Speed is flat from 2,048 to 32,768 cells;
+#: the size is chosen for the peak memory of the passes that follow
+#: (PERFORMANCE.md "Step engine").
+_CHUNK_CELLS = 16_384
 
 #: Longest window the auto policy will pick.
 _MAX_AUTO_WINDOW = 64
@@ -213,9 +232,10 @@ class VisibilityIndex:
     """Precomputed geometry answering "who sees whom" for every step.
 
     Build once per simulation; call :meth:`query` per step. The demand
-    cells are fixed in the Earth frame, so their KD-tree is built a
-    single time here; satellites are propagated by rotating cached epoch
-    ECI geometry and range-queried against that fixed tree.
+    cells are fixed in the Earth frame, so their KD-trees (one per chunk
+    of ``_CHUNK_CELLS`` consecutive cells) are built a single time here;
+    satellites are propagated by rotating cached epoch ECI geometry and
+    range-queried against those fixed trees.
 
     ``window`` selects the per-step mode: ``1`` forces a fresh exact
     range query every step, an int ``K > 1`` reuses one inflated
@@ -243,12 +263,16 @@ class VisibilityIndex:
             raise SimulationError(
                 "gateway positions and radii must be given together"
             )
-        self._cell_tree = cKDTree(cell_ecef)
+        cell_ecef = np.asarray(cell_ecef, dtype=np.float64)
         self._n_cells = cell_ecef.shape[0]
+        #: (first cell, stop cell, KD-tree over those cells) per chunk.
+        self._chunks: List[Tuple[int, int, cKDTree]] = []
+        for start in range(0, self._n_cells, _CHUNK_CELLS):
+            stop = min(start + _CHUNK_CELLS, self._n_cells)
+            self._chunks.append((start, stop, cKDTree(cell_ecef[start:stop])))
         # Contiguous per-axis cell coordinates for the cached-mode
         # refine (fancy-gathering a strided 2-D column is pathologically
         # slow compared to contiguous 1-D takes).
-        cell_ecef = np.asarray(cell_ecef, dtype=np.float64)
         self._cell_axes = tuple(
             np.ascontiguousarray(cell_ecef[:, axis]) for axis in range(3)
         )
@@ -278,6 +302,10 @@ class VisibilityIndex:
             )
             offset += walker.total
         self.n_satellites = offset
+        # Cached candidate ids are stored as narrow as the ids allow.
+        self._id_dtype = (
+            np.int32 if offset <= np.iinfo(np.int32).max else np.int64
+        )
         # Squared chord radius per satellite, for the cached refine.
         self._chord2_by_sat = np.empty(self.n_satellites, dtype=np.float64)
         for shell in self._shells:
@@ -412,38 +440,94 @@ class VisibilityIndex:
         return best_steps
 
     # ------------------------------------------------------------------
+    # Chunked range queries shared by both modes
+
+    def _chunk_pairs(
+        self,
+        cell_tree: cKDTree,
+        sat_trees: Sequence[cKDTree],
+        radii_km: Sequence[float],
+        eligible: Optional[Sequence[np.ndarray]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """One chunk's (chunk-local cell, global satellite) pairs.
+
+        Returns ``(cells, sats, candidates)``: every shell's pairs within
+        its radius, the gateway mask applied when ``eligible`` is given,
+        and ``candidates`` counting the pairs before that mask. Cells
+        are int32 and satellite ids the index's id dtype, which spares
+        :func:`group_pairs` a conversion of each.
+        """
+        pair_cells: List[np.ndarray] = []
+        pair_sats: List[np.ndarray] = []
+        candidates = 0
+        for shell_index, (shell, sat_tree) in enumerate(
+            zip(self._shells, sat_trees)
+        ):
+            pairs = sat_tree.sparse_distance_matrix(
+                cell_tree, radii_km[shell_index], output_type="ndarray"
+            )
+            sats = pairs["i"]
+            cells = pairs["j"]
+            candidates += sats.size
+            if eligible is not None:
+                keep = eligible[shell_index][sats]
+                sats = sats[keep]
+                cells = cells[keep]
+            pair_sats.append(sats.astype(self._id_dtype) + shell.offset)
+            pair_cells.append(cells)
+        cells = np.concatenate(pair_cells, dtype=np.int32)
+        return cells, np.concatenate(pair_sats), candidates
+
+    def _grouped_pairs(
+        self,
+        sat_trees: Sequence[cKDTree],
+        radii_km: Sequence[float],
+        eligible: Optional[Sequence[np.ndarray]] = None,
+        dtype=np.int64,
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Every chunk's pairs, cell-major: ``(indptr, ids, candidates)``.
+
+        Each chunk's pairs are grouped on chunk-local cell ids, with
+        satellite ids ascending in each cell, and the chunks' CSRs are
+        concatenated; ``ids`` has ``dtype``.
+        """
+        indptr = np.zeros(self._n_cells + 1, dtype=np.int64)
+        parts: List[np.ndarray] = []
+        candidates = 0
+        for start, stop, cell_tree in self._chunks:
+            cells, sats, chunk_candidates = self._chunk_pairs(
+                cell_tree, sat_trees, radii_km, eligible
+            )
+            candidates += chunk_candidates
+            chunk_indptr, order = group_pairs(
+                cells, sats, stop - start, self.n_satellites
+            )
+            indptr[start + 1 : stop + 1] = chunk_indptr[1:] + indptr[start]
+            parts.append(sats[order])
+        return indptr, _concatenate_ids(parts, dtype), candidates
+
+    # ------------------------------------------------------------------
     # Mode 1: exact per-step rebuild
 
     def _query_rebuild(self, time_s: float):
-        pair_cells: List[np.ndarray] = []
-        pair_sats: List[np.ndarray] = []
+        sat_trees: List[cKDTree] = []
         lats: List[np.ndarray] = []
-        candidates = 0
-        for shell_index, shell in enumerate(self._shells):
+        eligible: Optional[List[np.ndarray]] = (
+            [] if self._gateway_tree is not None else None
+        )
+        for shell_index in range(len(self._shells)):
             ecef = self.satellite_ecef(shell_index, time_s)
             lat, _, _ = ecef_to_latlon(ecef)
             lats.append(lat)
-            eligible = self.gateway_eligibility(shell_index, ecef)
-            sat_tree = cKDTree(ecef)
-            pairs = sat_tree.sparse_distance_matrix(
-                self._cell_tree, shell.chord_radius_km, output_type="ndarray"
-            )
-            sats = pairs["i"].astype(np.int64)
-            cells = pairs["j"].astype(np.int64)
-            candidates += sats.size
             if eligible is not None:
-                keep = eligible[sats]
-                sats = sats[keep]
-                cells = cells[keep]
-            pair_sats.append(sats + shell.offset)
-            pair_cells.append(cells)
-        cells = np.concatenate(pair_cells)
-        sats = np.concatenate(pair_sats)
-        indptr, order = group_pairs(
-            cells, sats, self._n_cells, self.n_satellites
+                eligible.append(self.gateway_eligibility(shell_index, ecef))
+            sat_trees.append(cKDTree(ecef))
+        radii = [shell.chord_radius_km for shell in self._shells]
+        indptr, indices, candidates = self._grouped_pairs(
+            sat_trees, radii, eligible
         )
         csr = CSRVisibility(
-            indptr=indptr, indices=sats[order], n_satellites=self.n_satellites
+            indptr=indptr, indices=indices, n_satellites=self.n_satellites
         )
         self.last_query_stats = {
             "mode": "rebuild",
@@ -464,42 +548,32 @@ class VisibilityIndex:
         """One inflated coarse query covering ``window_steps`` steps.
 
         Anchored at the window midpoint so the inflation only has to
-        cover half the window span in either direction.
+        cover half the window span in either direction. The cache keeps
+        the candidates' satellite ids, cell-major with ids ascending in
+        each cell, and each cell's offset into them: the refine derives
+        cell coordinates and chord radii from those per step.
         """
         half_span_s = 0.5 * (window_steps - 1) * hint_s
         anchor_s = time_s + half_span_s
-        pair_cells: List[np.ndarray] = []
-        pair_sats: List[np.ndarray] = []
-        for shell_index, shell in enumerate(self._shells):
-            ecef = self.satellite_ecef(shell_index, anchor_s)
-            margin_km = shell.max_speed_km_s * (half_span_s + _TIME_SLOP_S)
-            sat_tree = cKDTree(ecef)
-            pairs = sat_tree.sparse_distance_matrix(
-                self._cell_tree,
-                shell.chord_radius_km + margin_km,
-                output_type="ndarray",
-            )
-            pair_sats.append(pairs["i"].astype(np.int64) + shell.offset)
-            pair_cells.append(pairs["j"].astype(np.int64))
-        cells = np.concatenate(pair_cells)
-        sats = np.concatenate(pair_sats)
-        indptr, order = group_pairs(
-            cells, sats, self._n_cells, self.n_satellites
+        sat_trees = [
+            cKDTree(self.satellite_ecef(shell_index, anchor_s))
+            for shell_index in range(len(self._shells))
+        ]
+        radii = [
+            shell.chord_radius_km
+            + shell.max_speed_km_s * (half_span_s + _TIME_SLOP_S)
+            for shell in self._shells
+        ]
+        indptr, sats, _ = self._grouped_pairs(
+            sat_trees, radii, dtype=self._id_dtype
         )
-        cand_sats = sats[order]
-        cand_cells = cells[order]
-        cell_x, cell_y, cell_z = self._cell_axes
         self._cache = {
             "anchor_s": anchor_s,
             "half_span_s": half_span_s,
             "window_steps": window_steps,
             "hint_s": hint_s,
             "indptr": indptr,
-            "sats": cand_sats,
-            "cell_x": np.take(cell_x, cand_cells),
-            "cell_y": np.take(cell_y, cand_cells),
-            "cell_z": np.take(cell_z, cand_cells),
-            "chord2": np.take(self._chord2_by_sat, cand_sats),
+            "sats": sats,
         }
 
     def _window_covers(self, time_s: float, window_steps: int, hint_s: float) -> bool:
@@ -539,34 +613,57 @@ class VisibilityIndex:
             if eligible_all is not None:
                 eligible_all[span] = self.gateway_eligibility(shell_index, ecef)
         cand_sats = cache["sats"]
-        # Exact chord test over the candidates, accumulated per axis in
-        # the same order cKDTree's squared-distance predicate uses, so a
-        # surviving candidate is exactly a pair the rebuild would emit.
-        delta = cache["cell_x"] - np.take(sat_x, cand_sats)
-        dist2 = delta * delta
-        delta = cache["cell_y"] - np.take(sat_y, cand_sats)
-        dist2 += delta * delta
-        delta = cache["cell_z"] - np.take(sat_z, cand_sats)
-        dist2 += delta * delta
-        mask = dist2 <= cache["chord2"]
-        if eligible_all is not None:
-            mask &= np.take(eligible_all, cand_sats)
-        # Compress candidates -> CSR: prefix-sum the survivors and read
-        # the cell boundaries off the cached candidate indptr.
-        survivors = np.zeros(mask.size + 1, dtype=np.int64)
-        np.cumsum(mask, out=survivors[1:])
-        indptr = survivors[cache["indptr"]]
+        offsets = cache["indptr"]
+        cell_x, cell_y, cell_z = self._cell_axes
+        indptr = np.zeros(self._n_cells + 1, dtype=np.int64)
+        parts: List[np.ndarray] = []
+        for start, stop, _ in self._chunks:
+            lo = offsets[start]
+            ids = cand_sats[lo : offsets[stop]]
+            counts = np.diff(offsets[start : stop + 1])
+            # Exact chord test over the chunk's candidates, accumulated
+            # per axis in the same order cKDTree's squared-distance
+            # predicate uses, so a surviving candidate is exactly a pair
+            # the rebuild would emit.
+            delta = np.repeat(cell_x[start:stop], counts)
+            delta -= np.take(sat_x, ids)
+            dist2 = delta * delta
+            delta = np.repeat(cell_y[start:stop], counts)
+            delta -= np.take(sat_y, ids)
+            dist2 += delta * delta
+            delta = np.repeat(cell_z[start:stop], counts)
+            delta -= np.take(sat_z, ids)
+            dist2 += delta * delta
+            mask = dist2 <= np.take(self._chord2_by_sat, ids)
+            if eligible_all is not None:
+                mask &= np.take(eligible_all, ids)
+            # Compress candidates -> CSR: prefix-sum the survivors and
+            # read the cell boundaries off the cached offsets.
+            survivors = np.zeros(mask.size + 1, dtype=np.int64)
+            np.cumsum(mask, out=survivors[1:])
+            indptr[start + 1 : stop + 1] = (
+                survivors[offsets[start + 1 : stop + 1] - lo] + indptr[start]
+            )
+            parts.append(ids[mask])
         csr = CSRVisibility(
             indptr=indptr,
-            indices=cand_sats[mask],
+            indices=_concatenate_ids(parts),
             n_satellites=self.n_satellites,
         )
+        candidates = int(cand_sats.size)
         self.last_query_stats = {
             "mode": "cached",
             "window_steps": window_steps,
             "window_rebuilt": rebuilt,
-            "candidates": int(mask.size),
+            "candidates": candidates,
             "kept": csr.nnz,
-            "refine_ratio": csr.nnz / mask.size if mask.size else 1.0,
+            "refine_ratio": csr.nnz / candidates if candidates else 1.0,
         }
         return csr, np.concatenate(lats)
+
+
+def _concatenate_ids(parts: List[np.ndarray], dtype=np.int64) -> np.ndarray:
+    """Per-chunk satellite ids joined into one ``dtype`` array."""
+    if not parts:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate(parts, dtype=dtype)

@@ -195,6 +195,16 @@ class TestCsvDifferential:
         with pytest.raises(DatasetError, match="malformed cell token"):
             read_table_csv(path)
 
+    def test_written_files_round_trip_byte_identically(self, tmp_path):
+        table = explode_cells_table(build_toy_dataset([40, 7, 300]), seed=4)
+        first = write_table_csv(table, tmp_path / "first.csv", chunk_size=64)
+        loaded = read_table_csv(first, chunk_size=50)
+        # Coordinates are written to 6 decimals, so the first write is
+        # lossy; from then on a read and a write change no byte.
+        assert loaded.location_id.tolist() == table.location_id.tolist()
+        second = write_table_csv(loaded, tmp_path / "second.csv")
+        assert second.read_bytes() == first.read_bytes()
+
     def test_rejects_nonpositive_chunk_size(self, tmp_path):
         table = explode_cells_table(build_toy_dataset([3]))
         with pytest.raises(DatasetError):
@@ -479,3 +489,119 @@ class TestTableValidation:
         table = LocationTable.from_records(records)
         assert table.to_records() == records
         assert len(table) == len(records)
+
+
+def _edited_csv(tmp_path, edit, rows=12):
+    """A written table CSV with ``edit(lines)`` applied to its lines."""
+    table = explode_cells_table(build_toy_dataset([rows]), seed=3)
+    path = write_table_csv(table, tmp_path / "edited.csv")
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _set_field(line_index, field, value):
+    def edit(lines):
+        fields = lines[line_index].split(",")
+        fields[field] = value
+        lines[line_index] = ",".join(fields)
+
+    return edit
+
+
+class TestCsvBoundary:
+    """A malformed CSV is refused with the file and the line, never loaded."""
+
+    def test_short_row(self, tmp_path):
+        def drop_field(lines):
+            lines[3] = lines[3].rsplit(",", 1)[0]
+
+        path = _edited_csv(tmp_path, drop_field)
+        with pytest.raises(DatasetError, match=r"line 4: expected 8 fields, got 7"):
+            read_table_csv(path)
+
+    def test_truncated_last_row(self, tmp_path):
+        def truncate(lines):
+            lines[-1] = lines[-1][: len(lines[-1]) // 2]
+
+        path = _edited_csv(tmp_path, truncate)
+        with pytest.raises(DatasetError, match=r"edited\.csv: line 13: expected 8"):
+            read_table_csv(path)
+
+    def test_extra_field(self, tmp_path):
+        def append_field(lines):
+            lines[2] += ",7"
+
+        path = _edited_csv(tmp_path, append_field)
+        with pytest.raises(DatasetError, match=r"line 3: expected 8 fields, got 9"):
+            read_table_csv(path)
+
+    def test_blank_line(self, tmp_path):
+        path = _edited_csv(tmp_path, lambda lines: lines.insert(5, ""))
+        with pytest.raises(DatasetError, match=r"line 6: expected 8 fields, got 0"):
+            read_table_csv(path)
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            (0, "x17", "location_id"),
+            (1, "north", "lat_deg"),
+            (2, "", "lon_deg"),
+            (4, "4.5", "county_id"),
+            (5, "70000", "technology"),
+            (6, "fast", "max_download_mbps"),
+        ],
+    )
+    def test_non_numeric_field(self, tmp_path, field, value, name):
+        path = _edited_csv(tmp_path, _set_field(7, field, value))
+        with pytest.raises(DatasetError, match=rf"line 8: {name} '{value}' is not"):
+            read_table_csv(path)
+
+    def test_malformed_token_names_the_line(self, tmp_path):
+        for token in ("zz", "-1f", "1" * 17):
+            path = _edited_csv(tmp_path, _set_field(2, 3, token))
+            with pytest.raises(
+                DatasetError, match=rf"line 3: malformed cell token '{token}'"
+            ):
+                read_table_csv(path)
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            (1, "nan", "lat_deg"),
+            (1, "inf", "lat_deg"),
+            (1, "95.0", "lat_deg"),
+            (1, "-90.5", "lat_deg"),
+            (2, "-inf", "lon_deg"),
+            (2, "180.25", "lon_deg"),
+            (6, "nan", "max_download_mbps"),
+            (7, "inf", "max_upload_mbps"),
+            (7, "-2.0", "max_upload_mbps"),
+        ],
+    )
+    def test_value_out_of_range(self, tmp_path, field, value, name):
+        path = _edited_csv(tmp_path, _set_field(5, field, value))
+        with pytest.raises(
+            DatasetError, match=rf"line 6: {name} '{value}' is not finite in"
+        ):
+            read_table_csv(path)
+
+    def test_range_edges_load(self, tmp_path):
+        def edges(lines):
+            for line_index, (lat, lon) in enumerate(
+                [("90.000000", "180.000000"), ("-90.000000", "-180.000000")],
+                start=1,
+            ):
+                _set_field(line_index, 1, lat)(lines)
+                _set_field(line_index, 2, lon)(lines)
+
+        table = read_table_csv(_edited_csv(tmp_path, edges))
+        assert table.lat_deg[:2].tolist() == [90.0, -90.0]
+        assert table.lon_deg[:2].tolist() == [180.0, -180.0]
+
+    def test_bad_row_line_counts_across_chunks(self, tmp_path):
+        path = _edited_csv(tmp_path, _set_field(9, 1, "nan"))
+        for chunk_size in (1, 2, 4, 100):
+            with pytest.raises(DatasetError, match=r"line 10: lat_deg 'nan'"):
+                read_table_csv(path, chunk_size=chunk_size)

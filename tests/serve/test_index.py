@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from repro.demand.locations import LocationTable, explode_cells_table
 from repro.errors import ServeError
 from repro.serve import QueryEngine, ScenarioParams, ShardStore, build_index
 
 from tests.conftest import build_toy_dataset
+from tests.oracles.shards import reference_cut_shards
 
 _COLUMNS = (
     "location_id",
@@ -73,7 +76,9 @@ class TestShardGeometry:
         within[0] = False
         within[boundaries] = False
         assert (np.diff(store.location_id)[within[1:]] > 0).all()
-        assert (store.rank_in_cell[~within] == 0).sum() == store.n_cells
+        rows = np.arange(len(store))
+        rank_in_cell = rows - store.cell_starts[store.cells_for_rows(rows)]
+        assert (rank_in_cell[~within] == 0).sum() == store.n_cells
 
     def test_store_rejects_bad_inputs(self, toy_serve_table):
         with pytest.raises(ServeError, match="target shard rows"):
@@ -104,6 +109,49 @@ class TestShardGeometry:
     def test_unknown_location_id(self, toy_serve_index):
         with pytest.raises(ServeError, match="unknown location id"):
             toy_serve_index.store.rows_for_location_ids([10**15])
+
+
+def _cell_starts(sizes):
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+class TestShardCut:
+    """The binary-search cut equals the per-cell reference loop."""
+
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=60), max_size=40),
+        target=st.integers(min_value=1, max_value=200),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, sizes, target):
+        cell_starts = _cell_starts(sizes)
+        assert ShardStore._cut_shards(
+            cell_starts, target
+        ) == reference_cut_shards(cell_starts, target)
+
+    def test_zero_cells(self):
+        cell_starts = _cell_starts([])
+        assert ShardStore._cut_shards(cell_starts, 5) == ()
+        assert reference_cut_shards(cell_starts, 5) == ()
+
+    def test_cell_larger_than_target(self):
+        cell_starts = _cell_starts([3, 50, 2, 4, 1])
+        shards = ShardStore._cut_shards(cell_starts, 10)
+        assert shards == reference_cut_shards(cell_starts, 10)
+        assert [(s.cell_start, s.cell_stop) for s in shards] == [(0, 2), (2, 5)]
+        assert [(s.row_start, s.row_stop) for s in shards] == [(0, 53), (53, 60)]
+
+    def test_target_one_is_a_shard_per_cell(self):
+        cell_starts = _cell_starts([4, 1, 7])
+        shards = ShardStore._cut_shards(cell_starts, 1)
+        assert shards == reference_cut_shards(cell_starts, 1)
+        assert [s.n_cells for s in shards] == [1, 1, 1]
+
+    def test_target_beyond_int64_is_one_shard(self):
+        cell_starts = _cell_starts([4, 1, 7])
+        shards = ShardStore._cut_shards(cell_starts, 2**70)
+        assert shards == reference_cut_shards(cell_starts, 2**70)
+        assert [(s.cell_start, s.cell_stop) for s in shards] == [(0, 3)]
 
 
 class TestBuildIntegrity:

@@ -1,7 +1,7 @@
 """Differential tests for the fast visibility path.
 
-The precomputed :class:`VisibilityIndex` (one KD-tree over the static
-cells, satellites propagated by rotating cached epoch geometry) must
+The precomputed :class:`VisibilityIndex` (KD-trees over chunks of the
+static cells, satellites propagated by rotating cached epoch geometry) must
 produce exactly the same per-cell visibility relation as the original
 per-step KD-tree rebuild (:meth:`ConstellationSimulation._visibility`),
 at any time, with or without the bent-pipe gateway mask.
@@ -15,6 +15,7 @@ from repro.errors import SimulationError
 from repro.orbits.gateways import DEFAULT_CONUS_GATEWAYS
 from repro.orbits.shells import GEN1_SHELLS, Shell
 from repro.orbits.walker import WalkerDelta
+from repro.sim import visibility_index
 from repro.sim.simulation import ConstellationSimulation
 from repro.sim.visibility_index import (
     CSRVisibility,
@@ -245,26 +246,27 @@ class TestGatewayKD:
             assert mask.any() and not mask.all()
 
 
+def _build_index(sim, window, step_hint_s, cell_ecef=None):
+    """A fresh index over the sim's cells (or ``cell_ecef``)."""
+    kwargs = {}
+    if sim.gateways:
+        kwargs = dict(
+            gateway_ecef=sim._gateway_ecef,
+            gateway_radii_km=sim._gateway_radii,
+        )
+    return VisibilityIndex(
+        sim.walkers,
+        sim._cell_ecef if cell_ecef is None else cell_ecef,
+        sim._chord_radii,
+        window=window,
+        step_hint_s=step_hint_s,
+        **kwargs,
+    )
+
+
 def _paired_indexes(sim, window, step_hint_s):
     """A windowed index and an exact per-step rebuild twin for one sim."""
-
-    def build(window_setting, hint):
-        kwargs = {}
-        if sim.gateways:
-            kwargs = dict(
-                gateway_ecef=sim._gateway_ecef,
-                gateway_radii_km=sim._gateway_radii,
-            )
-        return VisibilityIndex(
-            sim.walkers,
-            sim._cell_ecef,
-            sim._chord_radii,
-            window=window_setting,
-            step_hint_s=hint,
-            **kwargs,
-        )
-
-    return build(window, step_hint_s), build(1, None)
+    return _build_index(sim, window, step_hint_s), _build_index(sim, 1, None)
 
 
 def assert_windowed_matches_rebuild(sim, times_s, window, step_hint_s):
@@ -412,3 +414,86 @@ class TestWindowedVisibility:
         assert_windowed_matches_rebuild(
             sim, times, window=window, step_hint_s=step_s
         )
+
+
+class TestChunkEdges:
+    """Chunk boundaries anywhere, even one cell per chunk, change nothing.
+
+    Every pass walks the cells in runs of ``_CHUNK_CELLS``; the regional
+    fixture's 98 cells fit one default chunk, so these shrink the chunk
+    to cut the cells at every position a boundary can take.
+    """
+
+    SIMS = ("regional_sim", "gateway_sim")
+
+    @pytest.fixture(params=[1, 7, 64])
+    def chunk_cells(self, request, monkeypatch):
+        monkeypatch.setattr(visibility_index, "_CHUNK_CELLS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("sim_name", SIMS)
+    def test_rebuild_matches_reference(self, request, chunk_cells, sim_name):
+        sim = request.getfixturevalue(sim_name)
+        index = _build_index(sim, 1, None)
+        n_cells = sim.dataset.n_cells
+        assert len(index._chunks) == -(-n_cells // chunk_cells)
+        for time_s in (0.0, 300.0, 3600.0):
+            csr, lats = index.query(time_s)
+            reference, reference_lats = sim._visibility(time_s)
+            assert csr.n_cells == len(reference) == n_cells
+            assert csr.indices.dtype == np.int64
+            for cell_index, expected in enumerate(reference):
+                np.testing.assert_array_equal(csr.cell(cell_index), expected)
+            np.testing.assert_allclose(lats, reference_lats, atol=1e-9)
+
+    @pytest.mark.parametrize("sim_name", SIMS)
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_windows_with_ragged_tails_match_rebuild(
+        self, request, chunk_cells, sim_name, window
+    ):
+        # 11 steps: windows of 3 leave a tail of 2, windows of 5 one.
+        sim = request.getfixturevalue(sim_name)
+        times = [600.0 + 20.0 * step for step in range(11)]
+        cached = assert_windowed_matches_rebuild(
+            sim, times, window=window, step_hint_s=20.0
+        )
+        assert cached.last_query_stats["mode"] == "cached"
+
+    @pytest.mark.parametrize("sim_name", SIMS)
+    def test_stats_match_single_chunk(
+        self, request, monkeypatch, chunk_cells, sim_name
+    ):
+        sim = request.getfixturevalue(sim_name)
+        chunked = (_build_index(sim, 1, None), _build_index(sim, 5, 20.0))
+        monkeypatch.setattr(
+            visibility_index, "_CHUNK_CELLS", sim.dataset.n_cells
+        )
+        single = (_build_index(sim, 1, None), _build_index(sim, 5, 20.0))
+        assert len(single[0]._chunks) == 1
+        for time_s in [20.0 * step for step in range(7)]:
+            for split, whole in zip(chunked, single):
+                split_csr, _ = split.query(time_s)
+                whole_csr, _ = whole.query(time_s)
+                np.testing.assert_array_equal(
+                    split_csr.indptr, whole_csr.indptr
+                )
+                np.testing.assert_array_equal(
+                    split_csr.indices, whole_csr.indices
+                )
+                assert split.last_query_stats == whole.last_query_stats
+
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_empty_cell_set(self, gateway_sim, chunk_cells, window):
+        index = _build_index(
+            gateway_sim, window, 20.0, cell_ecef=np.empty((0, 3))
+        )
+        assert index._chunks == []
+        populated = _build_index(gateway_sim, 1, None)
+        for time_s in (0.0, 20.0, 40.0):
+            csr, lats = index.query(time_s)
+            np.testing.assert_array_equal(csr.indptr, [0])
+            assert csr.nnz == 0 and csr.indices.dtype == np.int64
+            np.testing.assert_array_equal(lats, populated.query(time_s)[1])
+            stats = index.last_query_stats
+            assert stats["candidates"] == stats["kept"] == 0
+            assert stats["refine_ratio"] == 1.0

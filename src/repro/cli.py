@@ -10,10 +10,7 @@ Subcommands::
         --grid "beamspread=1,2,5;oversubscription=10,15,20,25" \\
         --parallel 4 --cache-dir cache/ --out sweep.csv
     repro-divide export-data out/     # write the synthetic dataset CSVs
-    repro-divide bench                # fast-vs-reference simulation bench
-    repro-divide bench-locations      # columnar-vs-reference location bench
     repro-divide serve --port 7321    # interactive query service (JSON lines)
-    repro-divide bench-serve          # load-test the service -> BENCH_serving.json
     repro-divide report sweep.manifest.json  # render run telemetry
 
 Global flags: ``--log-level`` picks the console verbosity,
@@ -21,8 +18,10 @@ Global flags: ``--log-level`` picks the console verbosity,
 and metric snapshot) into a JSONL telemetry stream, and ``--quiet``
 silences everything below ERROR. Tables, summaries, and findings stay
 on stdout; diagnostics ("wrote ...", progress, errors) go through the
-``repro`` logger on stderr. Sweeps and benches additionally write a
-:class:`~repro.obs.RunManifest` next to their ``--out`` file.
+``repro`` logger on stderr. Sweeps and timelines additionally write a
+:class:`~repro.obs.RunManifest` next to their ``--out`` file. A library
+error (:class:`~repro.errors.ReproError`) from any command is logged as
+one ``<command> failed: <message>`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from repro import obs
 from repro.core.model import StarlinkDivideModel
 from repro.demand.loader import write_dataset
 from repro.demand.synthetic import SyntheticMapConfig
+from repro.errors import ReproError
 from repro.experiments import (
     all_experiment_ids,
     get_experiment,
@@ -196,7 +196,6 @@ def _run_experiments(ids, model, seed, n_workers, grid_resolution=None):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
     from repro.runner import (
         FailurePolicy,
         ParameterGrid,
@@ -236,9 +235,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.metrics_port is not None:
             metrics_server = _start_sweep_metrics(args.metrics_port, runner)
         report = runner.run(model=_build_model(args.seed, args.grid_resolution))
-    except ReproError as exc:
-        _log.error("sweep failed: %s", exc)
-        return 2
     finally:
         if metrics_server is not None:
             metrics_server.close()
@@ -482,146 +478,8 @@ def _parse_visibility_window(text: str):
         )
 
 
-def _bench_repeat(args: argparse.Namespace) -> int:
-    """--repeat, defaulting to min-of-3 for quick (CI) configurations."""
-    if args.repeat is not None:
-        return args.repeat
-    return 3 if getattr(args, "quick", False) else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.sim.bench import (
-        format_bench_summary,
-        run_simulation_bench,
-        write_bench_json,
-    )
-
-    model = _build_model(args.seed, args.grid_resolution)
-    profiler = _start_profiler(args)
-    try:
-        results = run_simulation_bench(
-            quick=args.quick,
-            steps=args.steps,
-            repeat=_bench_repeat(args),
-            dataset=model.dataset,
-            visibility_window=_parse_visibility_window(args.visibility_window),
-        )
-    finally:
-        profile_digest = _finish_profiler(args, profiler)
-    print(format_bench_summary(results))
-    path = write_bench_json(results, args.out)
-    _log.info("wrote %s", path)
-    _write_manifest(
-        args,
-        command="bench",
-        out_path=path,
-        dataset_fingerprint=model.dataset.fingerprint(),
-        engine="fast+reference",
-        extra={
-            "all_reports_identical": results["all_reports_identical"],
-            **({"profile": profile_digest} if profile_digest else {}),
-        },
-    )
-    if not results["all_reports_identical"]:
-        _log.error("fast and reference engines disagree")
-        return 1
-    return 0
-
-
-def _cmd_bench_locations(args: argparse.Namespace) -> int:
-    from repro.demand.bench import (
-        format_locations_bench_summary,
-        run_locations_bench,
-    )
-    from repro.sim.bench import write_bench_json
-
-    model = _build_model(args.seed, args.grid_resolution)
-    results = run_locations_bench(
-        quick=args.quick,
-        repeat=_bench_repeat(args),
-        seed=args.explode_seed,
-        dataset=model.dataset,
-    )
-    print(format_locations_bench_summary(results))
-    path = write_bench_json(results, args.out)
-    _log.info("wrote %s", path)
-    _write_manifest(
-        args,
-        command="bench-locations",
-        out_path=path,
-        dataset_fingerprint=model.dataset.fingerprint(),
-        engine="columnar+reference",
-        extra={"all_identical": results["all_identical"]},
-    )
-    if not results["all_identical"]:
-        _log.error("columnar and reference location pipelines disagree")
-        return 1
-    return 0
-
-
-def _cmd_bench_sweep(args: argparse.Namespace) -> int:
-    from repro.runner.bench import (
-        format_sweep_bench_summary,
-        run_sweep_bench,
-    )
-    from repro.sim.bench import write_bench_json
-
-    results = run_sweep_bench(
-        quick=args.quick,
-        repeat=_bench_repeat(args),
-        seed=args.seed,
-        grid_resolution=args.grid_resolution,
-        n_workers=args.workers,
-    )
-    print(format_sweep_bench_summary(results))
-    path = write_bench_json(results, args.out)
-    _log.info("wrote %s", path)
-    _write_manifest(
-        args,
-        command="bench-sweep",
-        out_path=path,
-        engine="serial+fork+spawn",
-        extra={"all_modes_identical": results["all_modes_identical"]},
-    )
-    if not results["all_modes_identical"]:
-        _log.error("parallel sweep metrics diverged from the serial run")
-        return 1
-    return 0
-
-
-def _cmd_bench_gate(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-    from repro.perfgate import DEFAULT_TOLERANCE, run_gate
-
-    pairs = []
-    for spec in args.pairs:
-        baseline, sep, candidate = spec.partition(":")
-        if not sep or not baseline or not candidate:
-            _log.error(
-                "bad pair %r; expected BASELINE:CANDIDATE paths", spec
-            )
-            return 2
-        pairs.append((baseline, candidate))
-    tolerance = (
-        args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    )
-    try:
-        report, passed = run_gate(
-            pairs, tolerance=tolerance, absolute=args.absolute
-        )
-    except ReproError as exc:
-        _log.error("perf gate failed to run: %s", exc)
-        return 2
-    print(report)
-    if not passed:
-        _log.error("perf gate failed (tolerance %.0f%%)", tolerance * 100)
-        return 1
-    print(f"\nperf gate passed (tolerance {tolerance:.0%})")
-    return 0
-
-
 def _serve_table_and_dataset(args: argparse.Namespace):
-    """The (table, dataset) pair the serve/bench-serve commands run on."""
+    """The (table, dataset) pair ``serve`` runs on."""
     from repro.demand.locations import LocationTable, explode_cells_table
     from repro.demand.regions import QUICK_BBOX
 
@@ -650,7 +508,6 @@ def _serve_params(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.errors import ReproError
     from repro.serve import QueryEngine, ServeServer, build_index
 
     metrics_server = None
@@ -681,48 +538,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     metrics_server.port,
                 )
             asyncio.run(server.serve_forever())
-    except ReproError as exc:
-        _log.error("serve failed: %s", exc)
-        return 2
     except KeyboardInterrupt:
         _log.info("serve interrupted")
     finally:
         if metrics_server is not None:
             metrics_server.close()
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-    from repro.serve.loadgen import format_serving_summary, run_serving_bench
-    from repro.sim.bench import write_bench_json
-
-    try:
-        table, dataset = _serve_table_and_dataset(args)
-        with table:
-            results = run_serving_bench(
-                table,
-                dataset,
-                _serve_params(args),
-                duration_s=args.duration,
-                connections=args.connections,
-                batch_size=args.batch_size,
-                seed=args.load_seed,
-            )
-    except ReproError as exc:
-        _log.error("bench-serve failed: %s", exc)
-        return 2
-    print(format_serving_summary(results))
-    path = write_bench_json(results, args.out)
-    _log.info("wrote %s", path)
-    _write_manifest(
-        args,
-        command="bench-serve",
-        out_path=path,
-        dataset_fingerprint=results["config"]["dataset_fingerprint"],
-        engine="serve",
-        extra={"qps": results["qps"], "p99_s": results["p99_s"]},
-    )
     return 0
 
 
@@ -737,18 +557,25 @@ def _cmd_export_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-
-    try:
-        print(obs.format_report(args.path, top=args.top))
-    except ReproError as exc:
-        _log.error("report failed: %s", exc)
-        return 2
+    print(obs.format_report(args.path, top=args.top))
     return 0
 
 
+def _port(text: str) -> int:
+    """argparse type for a TCP port: an integer in [0, 65535]."""
+    try:
+        port = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 65535] (0 picks a free port), got {port}"
+        )
+    return port
+
+
 def _add_profile_args(p: argparse.ArgumentParser) -> None:
-    """``--profile [HZ]`` / ``--profile-out`` for simulate, sweep, bench."""
+    """``--profile [HZ]`` / ``--profile-out`` for simulate, timeline, sweep."""
     from repro.obs.profile import DEFAULT_HZ
 
     p.add_argument(
@@ -944,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--metrics-port",
-        type=int,
+        type=_port,
         default=None,
         metavar="PORT",
         help=(
@@ -1070,161 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeline_parser.set_defaults(func=_cmd_timeline)
 
-    bench_parser = sub.add_parser(
-        "bench",
-        help="benchmark the fast simulation path against the reference",
-    )
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small scenario for CI smoke runs (one shell, regional cells)",
-    )
-    bench_parser.add_argument(
-        "--steps", type=int, default=None, help="override simulated step count"
-    )
-    bench_parser.add_argument(
-        "--repeat",
-        type=int,
-        default=None,
-        help=(
-            "repeats per timing, min-of-N with per-repeat samples in the "
-            "JSON (default: 3 for --quick, 1 otherwise)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--out", default="BENCH_simulation.json", help="results JSON path"
-    )
-    bench_parser.add_argument(
-        "--visibility-window",
-        default="auto",
-        help=(
-            "visibility caching for the benched fast engine: 'auto' or "
-            "an integer window length (1 = always rebuild)"
-        ),
-    )
-    _add_profile_args(bench_parser)
-    bench_parser.set_defaults(func=_cmd_bench)
-
-    bench_locations_parser = sub.add_parser(
-        "bench-locations",
-        help="benchmark the columnar location pipeline against the reference",
-    )
-    bench_locations_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small scenario for CI smoke runs (regional cell subset)",
-    )
-    bench_locations_parser.add_argument(
-        "--repeat",
-        type=int,
-        default=None,
-        help=(
-            "repeats per timing, min-of-N with per-repeat samples in the "
-            "JSON (default: 3 for --quick, 1 otherwise)"
-        ),
-    )
-    bench_locations_parser.add_argument(
-        "--explode-seed",
-        type=int,
-        default=0,
-        help="seed for the location explode draws",
-    )
-    bench_locations_parser.add_argument(
-        "--out", default="BENCH_locations.json", help="results JSON path"
-    )
-    bench_locations_parser.set_defaults(func=_cmd_bench_locations)
-
-    bench_sweep_parser = sub.add_parser(
-        "bench-sweep",
-        help=(
-            "benchmark sweep dispatch: shared-memory handoff vs rebuild, "
-            "serial vs fork vs spawn pools"
-        ),
-    )
-    bench_sweep_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small scenario for CI smoke runs (regional cell subset)",
-    )
-    bench_sweep_parser.add_argument(
-        "--repeat",
-        type=int,
-        default=None,
-        help=(
-            "repeats per timing, min-of-N with per-repeat samples in the "
-            "JSON (default: 3 for --quick, 1 otherwise)"
-        ),
-    )
-    bench_sweep_parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="pool size for the fork/spawn dispatch modes (default: 2)",
-    )
-    bench_sweep_parser.add_argument(
-        "--out", default="BENCH_sweep.json", help="results JSON path"
-    )
-    bench_sweep_parser.set_defaults(func=_cmd_bench_sweep)
-
-    gate_parser = sub.add_parser(
-        "bench-gate",
-        help=(
-            "compare candidate bench JSONs against committed baselines; "
-            "fail on speedup or identity regressions"
-        ),
-    )
-    gate_parser.add_argument(
-        "pairs",
-        nargs="+",
-        metavar="BASELINE:CANDIDATE",
-        help="baseline and candidate JSON paths, colon-separated",
-    )
-    gate_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed relative regression on gated ratios (default: 0.2)",
-    )
-    gate_parser.add_argument(
-        "--absolute",
-        action="store_true",
-        help=(
-            "also gate absolute wall times (off by default: CI hardware "
-            "differs from the machines baselines were pinned on)"
-        ),
-    )
-    gate_parser.set_defaults(func=_cmd_bench_gate)
-
-    def add_serve_data_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--table",
-            default=None,
-            metavar="NPZ",
-            help=(
-                "memory-map an existing LocationTable NPZ instead of "
-                "exploding the dataset (must match the dataset's cells)"
-            ),
-        )
-        p.add_argument(
-            "--quick",
-            action="store_true",
-            help="small scenario for CI smoke runs (regional cell subset)",
-        )
-        p.add_argument(
-            "--explode-seed",
-            type=int,
-            default=0,
-            help="seed for the location explode draws",
-        )
-        p.add_argument("--oversubscription", type=float, default=20.0)
-        p.add_argument("--beamspread", type=float, default=1.0)
-        p.add_argument(
-            "--income-share",
-            type=float,
-            default=0.02,
-            help="affordability income share (default: the A4AI 2%%)",
-        )
-
     serve_parser = sub.add_parser(
         "serve",
         help="run the interactive query service over a serving index",
@@ -1234,14 +906,41 @@ def build_parser() -> argparse.ArgumentParser:
             "socket. See docs/SERVING.md for the query API."
         ),
     )
-    add_serve_data_args(serve_parser)
+    serve_parser.add_argument(
+        "--table",
+        default=None,
+        metavar="NPZ",
+        help=(
+            "memory-map an existing LocationTable NPZ instead of "
+            "exploding the dataset (must match the dataset's cells)"
+        ),
+    )
+    serve_parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="small scenario for CI smoke runs (regional cell subset)",
+    )
+    serve_parser.add_argument(
+        "--explode-seed",
+        type=int,
+        default=0,
+        help="seed for the location explode draws",
+    )
+    serve_parser.add_argument("--oversubscription", type=float, default=20.0)
+    serve_parser.add_argument("--beamspread", type=float, default=1.0)
+    serve_parser.add_argument(
+        "--income-share",
+        type=float,
+        default=0.02,
+        help="affordability income share (default: the A4AI 2%%)",
+    )
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument(
-        "--port", type=int, default=7321, help="TCP port (0 picks a free one)"
+        "--port", type=_port, default=7321, help="TCP port (0 picks a free one)"
     )
     serve_parser.add_argument(
         "--metrics-port",
-        type=int,
+        type=_port,
         default=None,
         metavar="PORT",
         help=(
@@ -1250,28 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve_parser.set_defaults(func=_cmd_serve)
-
-    bench_serve_parser = sub.add_parser(
-        "bench-serve",
-        help="load-test the query service and write BENCH_serving.json",
-    )
-    add_serve_data_args(bench_serve_parser)
-    bench_serve_parser.add_argument(
-        "--duration", type=float, default=10.0, help="load duration seconds"
-    )
-    bench_serve_parser.add_argument(
-        "--connections", type=int, default=2, help="concurrent connections"
-    )
-    bench_serve_parser.add_argument(
-        "--batch-size", type=int, default=128, help="point queries per request"
-    )
-    bench_serve_parser.add_argument(
-        "--load-seed", type=int, default=0, help="load generator RNG seed"
-    )
-    bench_serve_parser.add_argument(
-        "--out", default="BENCH_serving.json", help="results JSON path"
-    )
-    bench_serve_parser.set_defaults(func=_cmd_bench_serve)
 
     report_parser = sub.add_parser(
         "report",
@@ -1308,7 +985,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     obs.reset()
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except ReproError as exc:
+            _log.error("%s failed: %s", args.command, exc)
+            code = 2
         if writer is not None:
             _flush_telemetry(writer)
         return code

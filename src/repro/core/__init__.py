@@ -3,7 +3,7 @@
 This package is the primary contribution layer. Everything below it
 (:mod:`repro.geo`, :mod:`repro.orbits`, :mod:`repro.spectrum`,
 :mod:`repro.demand`, :mod:`repro.econ`) is substrate; everything above it
-(:mod:`repro.experiments`, benches, examples) is presentation.
+(:mod:`repro.experiments`, the CLI, examples) is presentation.
 """
 
 from repro.core.affordability import AffordabilityAnalysis, AffordabilityCurve

@@ -3,34 +3,28 @@
 The library's canonical demand representation is per-cell counts (all the
 paper's math consumes), but the FCC's raw data is one row per broadband
 serviceable location (BSL) with per-provider technology and speed claims.
-This module bridges the two:
+This module bridges the two on :class:`LocationTable`, a
+structure-of-arrays with one NumPy column per attribute:
 
-* :func:`explode_cells` scatters a dataset's counts into individual
+* :func:`explode_cells_table` scatters a dataset's counts into individual
   location points inside each cell's hexagon (seeded, deterministic) with
   BDC-style attributes — unserved locations get either no offer or a slow
   legacy one, underserved locations an offer below the 100/20 bar;
-* :func:`bin_locations` re-aggregates points into cells on a grid — the
+* :func:`bin_table` re-aggregates points into cells on a grid — the
   inverse, used both for round-trip validation and for ingesting
   location-level data from elsewhere;
-* CSV read/write in a BDC-like schema.
-
-The record-at-a-time functions above are the **scalar reference path**:
-one frozen :class:`LocationRecord` per location, fine for regional
-studies but too slow (and memory-hungry) for the national 4.66 M-location
-scale. The **columnar fast path** mirrors each of them on
-:class:`LocationTable`, a structure-of-arrays with one NumPy column per
-attribute:
-
-* :func:`explode_cells_table` / :func:`bin_table` are outcome-identical
-  to :func:`explode_cells` / :func:`bin_locations` (they replay the same
-  per-cell RNG stream, so even the sampled positions match bit-for-bit);
-* :func:`write_table_csv` / :func:`read_table_csv` stream the same
-  BDC-like CSV schema in chunks (byte-compatible with the record I/O);
+* :func:`write_table_csv` / :func:`read_table_csv` stream a BDC-like CSV
+  schema in chunks;
 * :meth:`LocationTable.to_npz` / :meth:`LocationTable.from_npz` persist
   the columns directly for fast reload.
 
-``benchmarks/bench_locations.py`` and ``repro-divide bench-locations``
-measure both paths; see docs/PERFORMANCE.md for current numbers.
+:class:`LocationRecord` is one location as a frozen object, for regional
+studies: :meth:`LocationTable.to_records` / :meth:`LocationTable.from_records`
+convert, and :func:`write_locations_csv` / :func:`read_locations_csv` read
+and write the same CSV schema byte for byte. The record-at-a-time explode
+and bin that the columnar path replaced live on as differential oracles in
+``tests/oracles/explode.py``; ``perfbench/`` measures the columnar path at
+national scale (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ from repro.demand.dataset import DemandDataset
 from repro.errors import DatasetError
 from repro.geo.coords import LatLon
 from repro.geo.hexgrid import CellId, HexGrid, pack_cell_keys
-from repro.geo.projection import EqualAreaProjection
 from repro.spectrum.regulatory import (
     RELIABLE_BROADBAND_DOWNLINK_MBPS,
     RELIABLE_BROADBAND_UPLINK_MBPS,
@@ -164,51 +157,6 @@ def _unknown_technology(codes: np.ndarray) -> int:
     return -1 if valid.all() else int(np.argmin(valid))
 
 
-def explode_cells(
-    dataset: DemandDataset, seed: int = 0
-) -> List[LocationRecord]:
-    """Scatter each cell's counts into individual location records.
-
-    Points are placed uniformly inside each cell's hexagon in the
-    projected plane (so uniformly by area on the sphere); offers are drawn
-    from BDC-like profiles. Deterministic in ``seed``.
-    """
-    rng = np.random.default_rng(seed)
-    grid = HexGrid(dataset.grid_resolution)
-    projection = EqualAreaProjection()
-    records: List[LocationRecord] = []
-    location_id = 0
-    for cell in dataset.cells:
-        cx, cy = projection.forward(grid.center(cell.cell))
-        for count, offers in (
-            (cell.unserved_locations, _UNSERVED_OFFERS),
-            (cell.underserved_locations, _UNDERSERVED_OFFERS),
-        ):
-            if count == 0:
-                continue
-            points = _uniform_hexagon_points(
-                rng, count, cx, cy, grid.hex_size_km
-            )
-            choices = rng.choice(
-                len(offers), size=count, p=[w for _, _, _, w in offers]
-            )
-            for (px, py), choice in zip(points, choices):
-                technology, downlink, uplink, _ = offers[int(choice)]
-                records.append(
-                    LocationRecord(
-                        location_id=location_id,
-                        position=projection.inverse(px, py),
-                        cell=cell.cell,
-                        county_id=cell.county_id,
-                        technology=technology,
-                        max_download_mbps=downlink,
-                        max_upload_mbps=uplink,
-                    )
-                )
-                location_id += 1
-    return records
-
-
 _ROOT3 = float(np.sqrt(3.0))
 
 
@@ -234,29 +182,6 @@ def _uniform_hexagon_points(
         points[filled : filled + good.size, 1] = ys[good] + cy
         filled += good.size
     return points
-
-
-def bin_locations(
-    records: Iterable[LocationRecord], resolution: int
-) -> Dict[CellId, Tuple[int, int]]:
-    """Aggregate records into (unserved, underserved) counts per cell.
-
-    Cells are re-derived from each record's position on a grid of the
-    given resolution; 'unserved' follows the FCC 25/3 bar, locations at or
-    above 100/20 are dropped (served).
-    """
-    grid = HexGrid(resolution)
-    counts: Dict[CellId, List[int]] = {}
-    for record in records:
-        if record.is_served:
-            continue
-        cell = grid.cell_for(record.position)
-        bucket = counts.setdefault(cell, [0, 0])
-        if record.is_unserved:
-            bucket[0] += 1
-        else:
-            bucket[1] += 1
-    return {cell: (u, d) for cell, (u, d) in counts.items()}
 
 
 _LOCATION_HEADERS = [
@@ -710,18 +635,18 @@ def _mmap_npz_columns(file_path: Path) -> Dict[str, np.ndarray]:
 def explode_cells_table(
     dataset: DemandDataset, seed: int = 0
 ) -> LocationTable:
-    """Columnar :func:`explode_cells`: same records, one table, far faster.
+    """Scatter each cell's counts into one table of location rows.
 
-    Replays the reference implementation's RNG stream exactly — the same
-    rejection-sampled positions and offer draws in the same order — via
-    the fused batched-RNG kernel in :mod:`repro.demand.fused`, which
-    draws the raw doubles for thousands of (cell, class) groups per call
-    instead of three tiny ``Generator`` dispatches per group.
-    ``explode_cells_table(d, s)`` is bit-identical to
-    ``LocationTable.from_records(explode_cells(d, s))`` and to the
-    per-group loop in ``tests/oracles/explode.py``, the differential
-    reference. Positions are unprojected chunk by chunk, so the pass
-    allocates the table plus a few MB.
+    Points are placed uniformly inside each cell's hexagon in the
+    projected plane (so uniformly by area on the sphere); offers are drawn
+    from BDC-like profiles. Deterministic in ``seed``. The fused
+    batched-RNG kernel in :mod:`repro.demand.fused` draws the raw doubles
+    for thousands of (cell, class) groups per call instead of three tiny
+    ``Generator`` dispatches per group, yet replays the same stream: the
+    table is bit-identical to the record-at-a-time and per-group loops in
+    ``tests/oracles/explode.py``, the differential references. Positions
+    are unprojected chunk by chunk, so the pass allocates the table plus
+    a few MB.
     """
     from repro.demand.fused import fused_explode_columns
 
@@ -735,7 +660,12 @@ def explode_cells_table(
 def bin_table(
     table: LocationTable, resolution: int
 ) -> Dict[CellId, Tuple[int, int]]:
-    """Columnar :func:`bin_locations`: identical counts, streamed.
+    """Aggregate rows into (unserved, underserved) counts per cell.
+
+    Cells are re-derived from each row's position on a grid of the given
+    resolution; 'unserved' follows the FCC 25/3 bar, locations at or
+    above 100/20 are dropped (served). The counts equal the
+    record-at-a-time ``bin_locations`` in ``tests/oracles/explode.py``.
 
     Walks the table in fixed row chunks. Per chunk it drops served rows,
     re-derives cells from positions with

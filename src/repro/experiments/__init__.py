@@ -3,7 +3,7 @@
 Each experiment takes a :class:`~repro.core.model.StarlinkDivideModel` and
 returns an :class:`ExperimentResult` carrying rendered text, CSV series,
 and headline metrics. ``python -m repro run fig1`` etc. drive these from
-the command line; the benchmark suite regenerates each one per run.
+the command line; ``tests/experiments`` pins each one's headline numbers.
 """
 
 from repro.experiments.registry import (

@@ -35,7 +35,7 @@ def run(model: StarlinkDivideModel) -> ExperimentResult:
         shells, region, oversubscription=20.0, strategy=ProportionalFair()
     )
     # Sample just over half an orbital period at 30 s; plenty of latitude
-    # samples, fast enough for a benchmark iteration.
+    # samples, fast enough for a test run.
     metrics = simulation.run(SimulationClock(duration_s=3000.0, step_s=30.0))
     report = simulation.report(metrics)
 

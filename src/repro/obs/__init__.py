@@ -15,7 +15,7 @@ Four pieces, one per module:
 * :mod:`repro.obs.writer` — the JSONL :class:`TelemetryWriter` event
   sink and the stdlib-``logging`` bridge (``--log-level``/``--log-json``);
 * :mod:`repro.obs.manifest` / :mod:`repro.obs.report` — the
-  :class:`RunManifest` written next to every sweep/bench output, and the
+  :class:`RunManifest` written next to every sweep/timeline output, and the
   ``repro-divide report`` renderer.
 
 The module-level :func:`tracer` and :func:`registry` are the process

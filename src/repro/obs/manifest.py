@@ -1,8 +1,8 @@
 """Run manifests: the provenance record written next to every output.
 
 A :class:`RunManifest` captures everything needed to audit (or exactly
-re-run) one sweep, bench, or simulation: the command and argv, git
-commit, a hash of the swept/benched parameters, the dataset
+re-run) one sweep or timeline run: the command and argv, git
+commit, a hash of the swept parameters, the dataset
 fingerprint, the engine choice, the full span forest, and a metrics
 snapshot. ``repro-divide report <manifest>`` renders it back (see
 :mod:`repro.obs.report`).

@@ -14,15 +14,15 @@ speedscope ingest directly::
     # flamegraph.pl profile.folded.txt > profile.svg
 
 Sampling costs one stack walk per tick regardless of what the target is
-doing, so overhead stays bounded (<3% budget at 50 Hz — measured by
-``repro-divide bench`` alongside the telemetry overhead). The profiler
+doing, so overhead stays bounded (<3% budget at 50 Hz; see
+docs/PERFORMANCE.md for the last measurement). The profiler
 never touches the profiled code: no tracing hooks, no
 ``sys.setprofile``, just periodic frame inspection, which also means
 native (numpy) kernels show up attributed to the Python frame that
 called them.
 
-Exposed on the CLI as ``--profile[=HZ]`` for ``simulate``, ``sweep``
-and ``bench``; the folded output lands next to the run's manifest and
+Exposed on the CLI as ``--profile[=HZ]`` for ``simulate``, ``timeline``
+and ``sweep``; the folded output lands next to the run's manifest and
 its top self-time functions are summarized by ``repro-divide report``.
 """
 

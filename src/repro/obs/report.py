@@ -45,7 +45,6 @@ __all__ = [
     "format_span_tree",
     "format_top_spans",
     "format_metrics",
-    "format_serving",
     "format_event_summary",
     "format_profile",
     "format_report",
@@ -204,46 +203,6 @@ def cache_hit_rate(metrics: Dict[str, Dict]) -> Optional[float]:
     return hits / total if total else 0.0
 
 
-def format_serving(metrics: Dict[str, Dict]) -> List[str]:
-    """Serving-layer summary lines from ``serve.*`` metrics (or none).
-
-    Renders query throughput (the ``serve.qps`` gauge the load generator
-    sets), total queries and errors, epoch swaps, and the
-    ``serve.query.latency_s`` histogram quantiles.
-    """
-    counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
-    histograms = metrics.get("histograms", {})
-    queries = counters.get("serve.queries")
-    if queries is None and "serve.qps" not in gauges:
-        return []
-    lines = [f"serving: {int(queries or 0)} queries"]
-    if "serve.qps" in gauges:
-        lines[0] += f" at {gauges['serve.qps']:,.0f} qps"
-    lines[0] += (
-        f", {int(counters.get('serve.errors', 0))} errors, "
-        f"{int(counters.get('serve.epoch_swaps', 0))} epoch swaps"
-    )
-    latency = histograms.get("serve.query.latency_s")
-    if latency:
-        lines.append(
-            "  request latency: p50 {p50}, p95 {p95}, max {max} "
-            "({count} requests)".format(
-                p50=_format_seconds(latency.get("p50")),
-                p95=_format_seconds(latency.get("p95")),
-                max=_format_seconds(latency.get("max")),
-                count=int(latency.get("count", 0)),
-            )
-        )
-    return lines
-
-
-def _format_seconds(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    return f"{value * 1e3:.2f}ms"
-
-
 def format_metrics(metrics: Dict[str, Dict]) -> str:
     """Counters, gauges, and histograms as aligned tables."""
     sections = []
@@ -397,7 +356,6 @@ def format_report(path: Union[str, Path], top: int = 10) -> str:
         rate = cache_hit_rate(manifest.metrics)
         if rate is not None:
             header.append(f"cache hit rate: {rate:.1%}")
-        header.extend(format_serving(manifest.metrics))
         header.extend(format_failures(manifest.extra))
         header.append(f"span records: {len(manifest.spans)}")
         sections.append("\n".join(header))

@@ -21,8 +21,8 @@ JSON-scalar metrics. The built-ins cover the paper's parameter sweeps:
 
 ``served`` and ``sizing`` also honour the ablation parameters
 ``spectral_efficiency`` (b/Hz) and ``max_beams_per_cell``, rebuilding
-the capacity model per task — this is how the ablation benches drive
-the runner.
+the capacity model per task — this is how the ablation tests in
+``tests/experiments`` drive the runner.
 
 Everything here must stay importable at module top level: worker
 processes resolve sweep functions by id and model builders by pickle,

@@ -17,7 +17,6 @@ deliberately independent record-at-a-time implementation.
 
 from repro.serve.engine import QueryEngine
 from repro.serve.index import ServeIndex, build_index
-from repro.serve.loadgen import run_load, run_serving_bench
 from repro.serve.reference import (
     reference_cell_answer,
     reference_county_answer,
@@ -40,8 +39,6 @@ __all__ = [
     "reference_cell_answer",
     "reference_county_answer",
     "reference_point_answer",
-    "run_load",
-    "run_serving_bench",
     "serve_plans",
     "tile_aggregates",
     "tiles_to_geojson",

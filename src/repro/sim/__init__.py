@@ -23,10 +23,6 @@ from repro.sim.engine import SimulationClock
 from repro.sim.impairments import Impairment, RainFade, SatelliteOutages
 from repro.sim.metrics import CoverageMetrics, SimulationReport
 from repro.sim.simulation import ConstellationSimulation
-from repro.sim.slow_reference import (
-    ReferenceGreedyDemandFirst,
-    ReferenceProportionalFair,
-)
 from repro.sim.trace import (
     SimulationTrace,
     read_trace_csv,
@@ -40,8 +36,6 @@ from repro.sim.visibility_index import CSRVisibility, VisibilityIndex
 __all__ = [
     "CSRVisibility",
     "VisibilityIndex",
-    "ReferenceGreedyDemandFirst",
-    "ReferenceProportionalFair",
     "AssignmentOutcome",
     "BeamAssignmentStrategy",
     "GreedyDemandFirst",

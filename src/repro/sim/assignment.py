@@ -31,7 +31,7 @@ stale-entry skipping, preserving the argmax tie-break (equal unmet
 demand -> lowest cell id) via the heap's (key, cell) ordering.
 
 The kernels are outcome-identical to the original interpreted loops,
-which are retained verbatim in :mod:`repro.sim.slow_reference` for
+which are retained verbatim in ``tests/oracles/assignment.py`` for
 differential testing.
 """
 

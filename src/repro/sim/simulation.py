@@ -12,10 +12,10 @@ Two engines produce each step's visibility relation:
   KD-tree once and propagates satellites by rotating cached epoch
   geometry, handing strategies a CSR array relation.
 * ``engine="reference"`` — the original per-step KD-tree rebuild over
-  Python lists, retained for differential testing and benchmarking
-  (see ``repro-divide bench``).
+  Python lists, retained for differential testing.
 
-Both engines produce identical results; ``repro-divide bench`` asserts it.
+Both engines produce identical results; ``tests/sim/test_parity.py``
+asserts it report for report.
 """
 
 from __future__ import annotations
@@ -207,8 +207,7 @@ class ConstellationSimulation:
         """Reference visibility: per-step KD-tree rebuild (original code).
 
         Kept verbatim as the baseline the fast
-        :class:`VisibilityIndex` is differentially tested and
-        benchmarked against.
+        :class:`VisibilityIndex` is differentially tested against.
         """
         visible_per_cell: List[List[int]] = [[] for _ in range(self.dataset.n_cells)]
         all_lats: List[np.ndarray] = []

@@ -17,8 +17,8 @@ quantitative:
 With Starlink-like numbers (3850 MHz over 250 MHz channels, dual
 polarization -> 30 orthogonal resources), the ceiling on one cell is
 ~33.75 Gbps — about 2x the 17.3 Gbps the FCC-filed 4-beam configuration
-delivers. The filing, not physics, is the binding constraint; the
-ablation benches sweep this.
+delivers. The filing, not physics, is the binding constraint; an
+ablation in ``tests/experiments`` sweeps the reuse budget.
 """
 
 from __future__ import annotations

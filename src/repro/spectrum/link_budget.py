@@ -5,8 +5,8 @@ Starlink downlink efficiency. This module lets the library *derive* a
 figure in that neighbourhood from first principles rather than trusting a
 constant: a Ku-band budget with representative Starlink EIRP density and UT
 G/T produces an SNR whose DVB-S2X operating point lands near 4.5 b/Hz.
-The capacity model takes the efficiency as a parameter, so the ablation
-benches can sweep it.
+The capacity model takes the efficiency as a parameter, so sweeps and
+the ablation tests can vary it.
 """
 
 from __future__ import annotations

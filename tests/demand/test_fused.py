@@ -22,15 +22,17 @@ from repro.demand.fused import (
 from repro.demand.locations import (
     _TABLE_COLUMNS as _COLUMNS,
     LocationTable,
-    bin_locations,
     bin_table,
-    explode_cells,
     explode_cells_table,
 )
 from repro.geo.coords import LatLon
 from repro.geo.hexgrid import CellId, HexGrid
 
-from tests.oracles.explode import reference_explode_table
+from tests.oracles.explode import (
+    bin_locations,
+    explode_cells,
+    reference_explode_table,
+)
 
 
 def _dataset_from_counts(counts):

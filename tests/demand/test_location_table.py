@@ -3,8 +3,9 @@
 The fast path (:class:`LocationTable`, :func:`explode_cells_table`,
 :func:`bin_table`, the chunked CSV I/O) must be outcome-identical — to the
 bit, including RNG draws — to the record-at-a-time reference
-(:func:`explode_cells`, :func:`bin_locations`, the record CSV I/O) on
-arbitrary datasets, and the binary NPZ format must round-trip losslessly.
+(``explode_cells`` and ``bin_locations`` in ``tests/oracles/explode.py``,
+the record CSV I/O) on arbitrary datasets, and the binary NPZ format must
+round-trip losslessly.
 """
 
 import numpy as np
@@ -18,9 +19,7 @@ from repro.demand.locations import (
     LocationRecord,
     LocationTable,
     TechnologyCode,
-    bin_locations,
     bin_table,
-    explode_cells,
     explode_cells_table,
     read_locations_csv,
     read_table_csv,
@@ -32,6 +31,7 @@ from repro.geo.coords import LatLon
 from repro.geo.hexgrid import CellId, HexGrid
 
 from tests.conftest import build_toy_dataset
+from tests.oracles.explode import bin_locations, explode_cells
 
 
 def _dataset_from_counts(counts):

@@ -1,4 +1,9 @@
-"""Tests for per-location record explode/bin round trips."""
+"""Tests for per-location record explode/bin round trips.
+
+The record-at-a-time explode and bin are the differential oracles in
+``tests/oracles/explode.py``; the record type and its CSV I/O are library
+code.
+"""
 
 import numpy as np
 import pytest
@@ -6,8 +11,6 @@ import pytest
 from repro.demand.locations import (
     LocationRecord,
     TechnologyCode,
-    bin_locations,
-    explode_cells,
     read_locations_csv,
     write_locations_csv,
 )
@@ -16,6 +19,7 @@ from repro.geo.coords import LatLon
 from repro.geo.hexgrid import CellId, HexGrid
 
 from tests.conftest import build_toy_dataset
+from tests.oracles.explode import bin_locations, explode_cells
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,11 @@
 """End-to-end tests: every experiment reproduces its paper artifact.
 
 These are the acceptance tests of DESIGN.md section 6 — shape and headline
-numbers per table/figure.
+numbers per table/figure — plus the design-choice ablations and substrate
+sanity checks the experiments rest on.
 """
 
+import numpy as np
 import pytest
 
 from repro.experiments import all_experiment_ids, run_experiment
@@ -111,3 +113,151 @@ class TestValidation:
         assert metrics["worst_density_error"] < 0.05
         assert metrics["min_coverage_fraction"] > 0.85
         assert metrics["demand_satisfaction"] > 0.9
+
+
+class TestAblations:
+    """How the headline results move when one model ingredient moves.
+
+    Each case sweeps one design choice DESIGN.md calls out; the capacity
+    ablations run through :class:`repro.runner.SweepRunner`, the grid
+    machinery behind ``repro-divide sweep``.
+    """
+
+    def test_spectral_efficiency_lowers_oversubscription_and_floor(
+        self, national_model
+    ):
+        from repro.runner import ParameterGrid, SweepRunner
+
+        grid = ParameterGrid(
+            {
+                "spectral_efficiency": (3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0),
+                "oversubscription": (20,),
+            }
+        )
+        report = SweepRunner("served", grid).run(model=national_model)
+        oversubs = [
+            r.metrics["required_oversubscription"] for r in report.results
+        ]
+        floors = [r.metrics["locations_unserved"] for r in report.results]
+        assert oversubs == sorted(oversubs, reverse=True)
+        assert floors == sorted(floors, reverse=True)
+
+    def test_more_beams_per_cell_needs_more_satellites(self, national_model):
+        from repro.runner import ParameterGrid, SweepRunner
+
+        grid = ParameterGrid(
+            {"max_beams_per_cell": (2, 3, 4, 6, 8), "beamspread": (2,)}
+        )
+        report = SweepRunner("sizing", grid).run(model=national_model)
+        sizes = [r.metrics["constellation_capped"] for r in report.results]
+        assert sizes == sorted(sizes)
+
+    def test_pure_53_degree_shells_need_the_fewest_satellites(
+        self, national_model
+    ):
+        from repro.core.sizing import ConstellationSizer, DeploymentScenario
+        from repro.orbits.density import ShellMixDensity
+        from repro.orbits.shells import GEN1_SHELLS, current_deployment
+
+        mixes = {
+            "53-degree shells": [GEN1_SHELLS[0], GEN1_SHELLS[1]],
+            "all Gen1": list(GEN1_SHELLS),
+            "current ~8000": current_deployment(),
+        }
+        sizes = {
+            name: ConstellationSizer(
+                national_model.dataset, density=ShellMixDensity(shells)
+            )
+            .size_scenario(DeploymentScenario.FULL_SERVICE, 2)
+            .constellation_size
+            for name, shells in mixes.items()
+        }
+        assert sizes["53-degree shells"] <= min(sizes.values()) * 1.001
+
+    def test_finer_cells_scale_the_constellation_by_area(
+        self, national_model
+    ):
+        from repro.core.sizing import ConstellationSizer, DeploymentScenario
+        from repro.geo.hexgrid import H3_MEAN_HEX_AREA_KM2
+
+        sizes = [
+            ConstellationSizer(
+                national_model.dataset,
+                cell_area_km2=H3_MEAN_HEX_AREA_KM2[resolution],
+            )
+            .size_scenario(DeploymentScenario.FULL_SERVICE, 2)
+            .constellation_size
+            for resolution in (4, 5, 6)
+        ]
+        assert sizes == sorted(sizes)
+        assert sizes[1] / sizes[0] == pytest.approx(7.0, rel=0.01)
+
+    def test_deeper_subsidy_prices_out_fewer(self, national_model):
+        analysis = national_model.affordability
+        counts = [
+            analysis.unaffordable_locations(max(0.0, 120.0 - subsidy))
+            for subsidy in (0.0, 9.25, 30.0, 50.0, 70.0, 90.0)
+        ]
+        assert counts == sorted(counts, reverse=True)
+
+    def test_more_reuse_resources_lower_the_peak_floor(self, national_model):
+        from repro.spectrum.interference import InterferenceModel
+
+        peak = national_model.dataset.max_cell().total_locations
+        budgets = []
+        for polarizations, rings in ((1, 2), (1, 1), (2, 1), (2, 0)):
+            model = InterferenceModel(
+                polarizations=polarizations, exclusion_rings=rings
+            )
+            budgets.append(
+                (
+                    model.orthogonal_resources,
+                    model.min_oversubscription_possible(peak),
+                )
+            )
+        for (resources_a, floor_a), (resources_b, floor_b) in zip(
+            budgets, budgets[1:]
+        ):
+            if resources_b > resources_a:
+                assert floor_b <= floor_a
+
+
+class TestSubstrates:
+    """Sanity checks on the substrates the experiments stand on."""
+
+    def test_conus_points_spread_over_many_cells(self):
+        from repro.geo.coords import LatLon
+        from repro.geo.hexgrid import HexGrid
+
+        grid = HexGrid(5)
+        rng = np.random.default_rng(0)
+        cells = {
+            grid.cell_for(LatLon(float(lat), float(lon)))
+            for lat, lon in zip(
+                rng.uniform(25, 49, 10_000), rng.uniform(-124, -67, 10_000)
+            )
+        }
+        assert len(cells) > 5000
+
+    def test_walker_positions_cover_the_shell(self):
+        from repro.orbits.shells import GEN1_SHELLS
+        from repro.orbits.walker import WalkerDelta
+
+        walker = WalkerDelta.from_shell(GEN1_SHELLS[0])
+        assert walker.positions_eci(1234.5).shape == (1584, 3)
+
+    def test_quarter_scale_map_keeps_its_total(self):
+        from repro.demand.synthetic import (
+            SyntheticMapConfig,
+            generate_national_map,
+        )
+
+        config = SyntheticMapConfig(seed=123, total_locations=1_000_000)
+        assert generate_national_map(config).total_locations == 1_000_000
+
+    def test_national_latency_survey_meets_the_fcc_bar(self, national_model):
+        from repro.core.latency import LatencyAnalysis
+        from repro.orbits.shells import GEN1_SHELLS
+
+        analysis = LatencyAnalysis(national_model.dataset, GEN1_SHELLS[0])
+        assert analysis.summary(max_cells=100)["meets_fcc_low_latency"]

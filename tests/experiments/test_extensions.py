@@ -30,6 +30,16 @@ def equity(national_model):
     return run_experiment("equity", national_model)
 
 
+@pytest.fixture(scope="module")
+def uncertainty(national_model):
+    return run_experiment("uncertainty", national_model)
+
+
+@pytest.fixture(scope="module")
+def defection(national_model):
+    return run_experiment("defection", national_model)
+
+
 class TestUplinkExtension:
     def test_uplink_oversubscription_about_96(self, uplink):
         assert uplink.metrics["uplink_required_oversubscription"] == (
@@ -93,18 +103,33 @@ class TestGrowthExtension:
         assert result.metrics["final_cells_over_cap"] >= 1
 
 
+class TestRobustnessExtension:
+    def test_findings_hold_across_map_seeds(self, national_model):
+        result = run_experiment("robust", national_model)
+        assert result.metrics["size_spread"] < 0.05
+        assert result.metrics["share_spread"] < 0.02
+
+
 class TestUncertaintyExtension:
-    def test_band_contains_point(self, national_model):
-        result = run_experiment("uncertainty", national_model)
-        assert result.metrics["s2_p5"] < result.metrics["s2_point"] < (
-            result.metrics["s2_p95"]
+    def test_band_contains_point(self, uncertainty):
+        assert uncertainty.metrics["s2_p5"] < uncertainty.metrics["s2_point"] < (
+            uncertainty.metrics["s2_p95"]
         )
+
+    def test_f2_survives_low_inputs(self, uncertainty):
+        # F2's ">40,000 at beamspread 2" stays above 30,000 even with
+        # every input at its 5th percentile.
+        assert uncertainty.metrics["s2_p5"] > 30000
 
 
 class TestDefectionExtension:
-    def test_floor_doubles_below_25pct(self, national_model):
-        result = run_experiment("defection", national_model)
-        assert result.metrics["doubling_defection"] < 0.25
+    def test_floor_doubles_below_25pct(self, defection):
+        assert defection.metrics["doubling_defection"] < 0.25
+
+    def test_defection_raises_the_floor(self, defection):
+        assert defection.metrics["floor_at_20pct"] > (
+            defection.metrics["baseline_floor"]
+        )
 
 
 class TestBaselinesExtension:

@@ -10,7 +10,8 @@ from repro.orbits.shells import GEN1_SHELLS
 from repro.sim.engine import SimulationClock
 from repro.sim.simulation import ConstellationSimulation
 from repro.sim.assignment import GreedyDemandFirst
-from repro.sim.slow_reference import ReferenceGreedyDemandFirst
+
+from tests.oracles.assignment import ReferenceGreedyDemandFirst
 
 CLOCK = dict(duration_s=120.0, step_s=60.0)
 
@@ -132,18 +133,3 @@ class TestLocationsInstrumentation:
         assert "locations.csv.write" in names
         assert "locations.csv.read" in names
 
-
-class TestBenchTelemetry:
-    def test_overhead_measurement_shape(self, regional_dataset):
-        from repro.sim.bench import measure_telemetry_overhead
-
-        result = measure_telemetry_overhead(
-            GEN1_SHELLS[:1],
-            regional_dataset,
-            SimulationClock(**CLOCK),
-        )
-        assert result["enabled_s"] > 0
-        assert result["disabled_s"] > 0
-        assert "overhead_fraction" in result
-        # Restores the prior (enabled, per conftest) state.
-        assert obs.enabled()

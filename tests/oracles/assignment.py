@@ -1,14 +1,12 @@
-"""Reference (pre-vectorization) assignment implementations.
+"""Reference (pre-vectorization) assignment loops.
 
 These are the original interpreted per-cell loops of
 :class:`~repro.sim.assignment.GreedyDemandFirst` and
 :class:`~repro.sim.assignment.ProportionalFair`, kept verbatim so that
-
-* the differential property tests can assert the vectorized kernels are
-  outcome-identical on arbitrary visibility relations, and
-* ``repro-divide bench`` can measure the fast path's speedup against a
-  faithful baseline (and prove both produce the same
-  :class:`~repro.sim.metrics.SimulationReport`).
+the differential property tests can assert the vectorized kernels are
+outcome-identical on arbitrary visibility relations, and the parity
+suite that whole runs produce the same
+:class:`~repro.sim.metrics.SimulationReport`.
 
 The only intentional delta from the historical code is the outcome
 bookkeeping: like the fast kernels, they report demand-clamped

@@ -2,7 +2,7 @@
 
 The fast CSR kernels in :mod:`repro.sim.assignment` must be
 outcome-identical — every field, including tie-breaks — to the retained
-:mod:`repro.sim.slow_reference` implementations on arbitrary visibility
+loops in ``tests/oracles/assignment.py`` on arbitrary visibility
 relations, and each strategy's ``assign`` / ``assign_csr`` entry points
 must agree with each other.
 """
@@ -17,12 +17,13 @@ from repro.sim.assignment import (
     ProportionalFair,
     StickyGreedy,
 )
-from repro.sim.slow_reference import (
+from repro.sim.visibility_index import CSRVisibility
+from repro.spectrum.beams import BeamPlan
+
+from tests.oracles.assignment import (
     ReferenceGreedyDemandFirst,
     ReferenceProportionalFair,
 )
-from repro.sim.visibility_index import CSRVisibility
-from repro.spectrum.beams import BeamPlan
 
 PLAN = BeamPlan(
     beams_per_satellite=6,

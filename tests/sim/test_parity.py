@@ -4,19 +4,26 @@
 its recorded serving matrix; :class:`CoverageMetrics` accumulates them
 step by step during the run. Both must implement the same event
 definition (:func:`serving_transition_events`) — these tests pin the
-agreement on crafted sequences and on real runs of both engines.
+agreement on crafted sequences and on real runs of both engines. The
+run cases also pin the fast engine and kernels to the reference engine
+and loops (``tests/oracles/assignment.py``), report for report.
 """
 
 import numpy as np
 import pytest
 
 from repro.orbits.shells import GEN1_SHELLS
+from repro.sim.assignment import GreedyDemandFirst, ProportionalFair
 from repro.sim.engine import SimulationClock
 from repro.sim.metrics import CoverageMetrics
 from repro.sim.simulation import ConstellationSimulation
 from repro.sim.trace import SimulationTrace, record_trace
 
 from tests.conftest import build_toy_dataset
+from tests.oracles.assignment import (
+    ReferenceGreedyDemandFirst,
+    ReferenceProportionalFair,
+)
 
 
 def trace_from_serving(serving_matrix) -> SimulationTrace:
@@ -82,6 +89,32 @@ class TestCraftedParity:
 
 
 class TestRunParity:
+    @pytest.mark.parametrize(
+        "fast_cls, reference_cls",
+        [
+            (GreedyDemandFirst, ReferenceGreedyDemandFirst),
+            (ProportionalFair, ReferenceProportionalFair),
+        ],
+    )
+    def test_engines_produce_equal_reports(
+        self, regional_dataset, fast_cls, reference_cls
+    ):
+        """The fast engine and kernel against the reference engine and
+        loop: whole-run :class:`SimulationReport`s compare equal."""
+        shells = list(GEN1_SHELLS[:1])
+        clock = SimulationClock(duration_s=600.0, step_s=60.0)
+        reports = []
+        for engine, strategy in (
+            ("fast", fast_cls()),
+            ("reference", reference_cls()),
+        ):
+            simulation = ConstellationSimulation(
+                shells, regional_dataset, strategy=strategy, engine=engine
+            )
+            reports.append(simulation.report(simulation.run(clock)))
+        assert reports[0] == reports[1]
+        assert reports[0].steps == 10
+
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     def test_trace_and_metrics_agree_on_real_run(self, engine):
         dataset = build_toy_dataset([10, 100, 1000, 2000, 5998])

@@ -9,6 +9,14 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _exit_code(argv) -> int:
+    """``main``'s return value, or the code of the SystemExit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestParser:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
@@ -22,6 +30,46 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+
+class TestBadValues:
+    """Bad values exit 2 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--step", "0"], "simulate failed: step"),
+            (["simulate", "--duration", "inf"], "simulate failed: duration"),
+            (["timeline", "--duration-h", "nan"], "timeline failed: duration"),
+            (
+                ["simulate", "--visibility-window", "0"],
+                "simulate failed: visibility window",
+            ),
+            (["serve", "--port", "70000"], "argument --port: must be in"),
+            (
+                ["serve", "--metrics-port", "-5"],
+                "argument --metrics-port: must be in",
+            ),
+            (
+                [
+                    "sweep", "served", "--grid", "beamspread=1",
+                    "--metrics-port", "70000",
+                ],
+                "argument --metrics-port: must be in",
+            ),
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, argv, message, capsys):
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [
+            line
+            for line in err.splitlines()
+            if " failed: " in line or ": error: " in line
+        ]
+        assert len(errors) == 1, err
+        assert message in errors[0]
 
 
 class TestRun:
@@ -40,11 +88,9 @@ class TestRun:
         assert "wrote" in captured.err
         assert "wrote" not in captured.out
 
-    def test_unknown_experiment_raises(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            main(["run", "nope"])
+    def test_unknown_experiment_raises(self, capsys):
+        assert main(["run", "nope"]) == 2
+        assert "run failed: unknown experiment 'nope'" in capsys.readouterr().err
 
 
 class TestRunParallel:
@@ -59,11 +105,11 @@ class TestRunParallel:
         assert main(["run", "tab2", "--parallel", "0"]) == 2
         assert "--parallel" in capsys.readouterr().err
 
-    def test_parallel_unknown_experiment_fails_before_fanout(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            main(["run", "tab2", "nope", "--parallel", "2"])
+    def test_parallel_unknown_experiment_fails_before_fanout(self, capsys):
+        assert main(["run", "tab2", "nope", "--parallel", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "run failed: unknown experiment 'nope'" in captured.err
+        assert "===" not in captured.out
 
 
 GRID_12 = "beamspread=1,2,5;oversubscription=10,15,20,25"

@@ -378,7 +378,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         region,
         oversubscription=args.oversubscription,
         strategy=strategies[args.strategy](),
-        visibility_window=_parse_visibility_window(args.visibility_window),
+        visibility_window=args.visibility_window,
     )
     clock = SimulationClock(duration_s=args.duration, step_s=args.step)
     _log.info("%s", region.summary())
@@ -418,7 +418,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         ),
         oversubscription=args.oversubscription,
         strategy=args.strategy,
-        visibility_window=_parse_visibility_window(args.visibility_window),
+        visibility_window=args.visibility_window,
     )
     _log.info("%s", region.summary())
     profiler = _start_profiler(args)
@@ -467,14 +467,14 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _parse_visibility_window(text: str):
-    """--visibility-window value: "auto" or a step count."""
+    """argparse type for --visibility-window: "auto" or a step count."""
     if text == "auto":
         return "auto"
     try:
         return int(text)
     except ValueError:
-        raise SystemExit(
-            f"--visibility-window must be 'auto' or an integer: {text!r}"
+        raise argparse.ArgumentTypeError(
+            f"must be 'auto' or an integer: {text!r}"
         )
 
 
@@ -819,6 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim_parser.add_argument(
         "--visibility-window",
+        type=_parse_visibility_window,
         default="auto",
         help=(
             "visibility caching: 'auto' picks per-step rebuild vs "
@@ -885,6 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeline_parser.add_argument(
         "--visibility-window",
+        type=_parse_visibility_window,
         default="auto",
         help=(
             "visibility caching: 'auto' sizes cached-candidate windows "

@@ -650,6 +650,8 @@ def explode_cells_table(
     """
     from repro.demand.fused import fused_explode_columns
 
+    if seed < 0:
+        raise DatasetError(f"explode seed must be non-negative: {seed!r}")
     span = obs.span(
         "locations.explode", cells=dataset.n_cells, seed=seed
     )

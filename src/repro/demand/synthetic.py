@@ -91,6 +91,10 @@ class SyntheticMapConfig:
     description: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise CalibrationError(
+                f"map seed must be non-negative: {self.seed!r}"
+            )
         if self.total_locations <= 0:
             raise CalibrationError("total_locations must be positive")
         if not 0.0 <= self.unserved_fraction <= 1.0:

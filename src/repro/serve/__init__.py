@@ -25,7 +25,7 @@ from repro.serve.reference import (
 from repro.serve.scenario import ScenarioParams, serve_plans
 from repro.serve.server import ServeClient, ServeServer
 from repro.serve.shards import Shard, ShardStore
-from repro.serve.tiles import tile_aggregates, tiles_to_geojson
+from repro.serve.tiles import tile_aggregates, tiles_to_geojson, tiles_to_json
 
 __all__ = [
     "QueryEngine",
@@ -42,4 +42,5 @@ __all__ = [
     "serve_plans",
     "tile_aggregates",
     "tiles_to_geojson",
+    "tiles_to_json",
 ]

@@ -10,6 +10,7 @@ regression test asserts no response ever mixes epochs.
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 from typing import Dict
 
@@ -19,7 +20,7 @@ from repro import obs
 from repro.geo.hexgrid import HexGrid
 from repro.serve.index import ServeIndex
 from repro.serve.scenario import ScenarioParams
-from repro.serve.tiles import DEFAULT_TILE_RESOLUTION, tiles_to_geojson
+from repro.serve.tiles import DEFAULT_TILE_RESOLUTION, tiles_to_json
 
 
 class QueryEngine:
@@ -205,20 +206,21 @@ class QueryEngine:
 
     def tiles_geojson(
         self, tile_resolution: int = DEFAULT_TILE_RESOLUTION
-    ) -> Dict:
-        """Choropleth-ready GeoJSON tile aggregates at one epoch.
+    ) -> str:
+        """Choropleth-ready GeoJSON tile aggregates at one epoch, as text.
 
-        The collection's polygons are shared with every other ``tiles``
-        answer at the same resolution; treat them as read-only.
+        The JSON text of ``{"epoch", "scenario_id", "collection"}``,
+        exactly as ``json.dumps`` writes that answer, so the server
+        sends it without encoding it again.
         """
         with obs.span("serve.query", kind="tiles"):
             index = self._index
             self._queries.inc()
-            return {
-                "epoch": index.epoch,
-                "scenario_id": index.scenario_id,
-                "collection": tiles_to_geojson(index, tile_resolution),
-            }
+            return '{"epoch": %s, "scenario_id": %s, "collection": %s}' % (
+                json.dumps(index.epoch),
+                json.dumps(index.scenario_id),
+                tiles_to_json(index, tile_resolution),
+            )
 
     def stats(self) -> Dict:
         """Service-level summary of the live snapshot."""

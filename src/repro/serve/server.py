@@ -22,10 +22,12 @@ Ops:
 ``set_params``            scenario change; responds after the epoch swap
 ``metrics``               cumulative + rolling metrics snapshots
 
-Every request is timed into ``serve.request.latency_s`` — both the
-cumulative histogram and a rolling window, so the ``metrics`` op (and
-the ``--metrics-port`` Prometheus endpoint) expose a last-minute p99
-alongside the since-start totals.
+Every request is timed into ``serve.request.latency_s``, from its
+line as read to its encoded response line — both the cumulative
+histogram and a rolling window, so the ``metrics`` op (and the
+``--metrics-port`` Prometheus endpoint) expose a last-minute p99
+alongside the since-start totals. The ``tiles`` answer arrives from the
+engine already encoded and is spliced into the response line.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import asyncio
 import json
 import math
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro import obs
 from repro.errors import ReproError, ServeError
@@ -102,7 +104,7 @@ class ServeServer:
                 elapsed = time.perf_counter() - started
                 self._request_latency.observe(elapsed)
                 self._rolling_latency.observe(elapsed)
-                writer.write(json.dumps(response).encode() + b"\n")
+                writer.write(response)
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -111,7 +113,8 @@ class ServeServer:
             # stop() mid-await, which asyncio.streams reports noisily.
             writer.close()
 
-    async def _dispatch_line(self, line: Optional[bytes]) -> Dict:
+    async def _dispatch_line(self, line: Optional[bytes]) -> bytes:
+        """The encoded response line to one request line."""
         try:
             if line is None:
                 raise ServeError(
@@ -121,15 +124,21 @@ class ServeServer:
             if not isinstance(request, dict):
                 raise ServeError("request must be a JSON object")
             answer = await self._dispatch(request)
-            return {"ok": True, **answer}
         except ReproError as exc:
             obs.registry().counter("serve.errors").inc()
-            return {"ok": False, "error": str(exc)}
+            response = {"ok": False, "error": str(exc)}
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             obs.registry().counter("serve.errors").inc()
-            return {"ok": False, "error": f"bad request: {exc}"}
+            response = {"ok": False, "error": f"bad request: {exc}"}
+        else:
+            if isinstance(answer, str):
+                # A JSON object already encoded: open it after "ok".
+                return ('{"ok": true, ' + answer[1:] + "\n").encode()
+            response = {"ok": True, **answer}
+        return (json.dumps(response) + "\n").encode()
 
-    async def _dispatch(self, request: Dict) -> Dict:
+    async def _dispatch(self, request: Dict) -> Union[Dict, str]:
+        """The answer to one request: a dict, or its JSON object text."""
         op = request.get("op")
         engine = self.engine
         if op == "ping":

@@ -114,6 +114,13 @@ class ShardStore:
         #: already are in id order (an adopted table).
         self._id_order = id_order
         self._ids_sorted = ids_sorted
+        #: Whether the ids are exactly 0..n-1, so an id is its own
+        #: position in ``ids_sorted``. They strictly ascend, so the ends
+        #: prove it.
+        n = len(ids_sorted)
+        self._ids_are_positions = n > 0 and (
+            int(ids_sorted[0]) == 0 and int(ids_sorted[-1]) == n - 1
+        )
         self._cell_tokens = None
         #: :class:`~repro.serve.tiles.TileLayout` per tile resolution,
         #: built by the first ``tiles`` query at that resolution.
@@ -290,16 +297,26 @@ class ShardStore:
         return len(self.unique_keys)
 
     def rows_for_location_ids(self, location_ids) -> np.ndarray:
-        """Sorted-table row index of each requested location id."""
+        """Sorted-table row index of each requested location id.
+
+        Ids that are exactly 0..n-1 (every exploded table's) are their
+        own positions, so only a bounds check runs; other ids are found
+        by binary search. An unknown id raises :class:`ServeError`
+        naming the first one in request order.
+        """
         ids = np.asarray(location_ids, dtype=np.int64)
         if ids.size == 0:
             return np.empty(0, dtype=np.int64)
         if len(self) == 0:
             raise ServeError(f"unknown location id {int(ids[0])}")
-        positions = np.clip(
-            np.searchsorted(self._ids_sorted, ids), 0, len(self) - 1
-        )
-        found = self._ids_sorted[positions] == ids
+        if self._ids_are_positions:
+            positions = ids
+            found = (ids >= 0) & (ids < len(self))
+        else:
+            positions = np.clip(
+                np.searchsorted(self._ids_sorted, ids), 0, len(self) - 1
+            )
+            found = self._ids_sorted[positions] == ids
         if not found.all():
             raise ServeError(f"unknown location id {int(ids[~found][0])}")
         if self._id_order is None:

@@ -20,6 +20,7 @@ asserts it report for report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -90,9 +91,10 @@ class ConstellationSimulation:
         """
         if not shells:
             raise SimulationError("simulation needs at least one shell")
-        if oversubscription <= 0.0:
+        if not (math.isfinite(oversubscription) and oversubscription > 0.0):
             raise SimulationError(
-                f"oversubscription must be positive: {oversubscription!r}"
+                "oversubscription must be finite and positive: "
+                f"{oversubscription!r}"
             )
         if engine not in ("fast", "reference"):
             raise SimulationError(f"unknown simulation engine: {engine!r}")

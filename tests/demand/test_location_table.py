@@ -84,6 +84,10 @@ class TestExplodeDifferential:
         table = explode_cells_table(_dataset_from_counts([(0, 0), (0, 0)]))
         assert len(table) == 0
 
+    def test_negative_seed_rejected(self, toy_dataset):
+        with pytest.raises(DatasetError, match="explode seed"):
+            explode_cells_table(toy_dataset, seed=-1)
+
     def test_fixture_dataset(self, toy_dataset):
         table = explode_cells_table(toy_dataset, seed=3)
         reference = LocationTable.from_records(

@@ -101,6 +101,12 @@ class TestConfigValidation:
         with pytest.raises(CalibrationError):
             SyntheticMapConfig(total_locations=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(CalibrationError, match="map seed"):
+            SyntheticMapConfig(seed=-1)
+        with pytest.raises(CalibrationError, match="map seed"):
+            SyntheticMapConfig.at_resolution(6, seed=-3)
+
     def test_rejects_bad_unserved_fraction(self):
         with pytest.raises(CalibrationError):
             SyntheticMapConfig(unserved_fraction=1.5)

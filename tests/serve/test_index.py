@@ -110,6 +110,43 @@ class TestShardGeometry:
         with pytest.raises(ServeError, match="unknown location id"):
             toy_serve_index.store.rows_for_location_ids([10**15])
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["rows", "sorted"])
+    def test_zero_based_ids(self, toy_serve_table, reverse):
+        # Ids 0..n-1: as the exploded rows, or numbered backwards so the
+        # store sorts rows away from id order.
+        n = len(toy_serve_table)
+        ids = np.arange(n, dtype=np.int64)
+        if reverse:
+            ids = ids[::-1].copy()
+        store = ShardStore.from_table(
+            _mutate(toy_serve_table, location_id=ids)
+        )
+        wanted = [n - 1, 0, 7, 7, n // 2]
+        rows = store.rows_for_location_ids(wanted)
+        assert store.location_id[rows].tolist() == wanted
+        for request, unknown in (
+            ([3, n, -1], n),
+            ([-1, n], -1),
+            ([n + 9], n + 9),
+        ):
+            with pytest.raises(
+                ServeError, match=rf"unknown location id {unknown}$"
+            ):
+                store.rows_for_location_ids(request)
+
+    def test_gapped_ids(self, toy_serve_table):
+        # 0..8, then 10..n: id 9 is missing and id n is known.
+        n = len(toy_serve_table)
+        ids = np.arange(n, dtype=np.int64)
+        ids[9:] += 1
+        store = ShardStore.from_table(
+            _mutate(toy_serve_table, location_id=ids)
+        )
+        rows = store.rows_for_location_ids([n, 0, 10, 8])
+        assert rows.tolist() == [n - 1, 0, 9, 8]
+        with pytest.raises(ServeError, match="unknown location id 9$"):
+            store.rows_for_location_ids([0, 9, n + 1])
+
 
 def _cell_starts(sizes):
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))

@@ -76,10 +76,30 @@ class TestOps:
         cell, county, tiles = _roundtrip(toy_engine, interact)
         assert cell == {"ok": True, **toy_engine.cell_answer(token)}
         assert county == {"ok": True, **toy_engine.county_answer(county_id)}
-        assert tiles == {"ok": True, **toy_engine.tiles_geojson()}
+        assert tiles == {"ok": True, **json.loads(toy_engine.tiles_geojson())}
         assert list(tiles) == ["ok", "epoch", "scenario_id", "collection"]
         assert tiles["epoch"] == 0
         assert tiles["scenario_id"] == toy_engine.index.scenario_id
+
+    def test_tiles_line_is_what_json_dumps_writes(self, toy_engine):
+        # The pre-encoded answer is spliced after "ok", not re-encoded:
+        # the bytes on the wire are still json.dumps of the answer.
+        async def interact(client):
+            lines = []
+            for request in (
+                {"op": "tiles"},
+                {"op": "set_params", "oversubscription": 15.0},
+                {"op": "tiles", "resolution": 1},
+            ):
+                client._writer.write(json.dumps(request).encode() + b"\n")
+                await client._writer.drain()
+                lines.append(await client._reader.readline())
+            return lines[0], lines[2]
+
+        for line in _roundtrip(toy_engine, interact):
+            assert line.startswith(b'{"ok": true, "epoch": ')
+            assert line == json.dumps(json.loads(line)).encode() + b"\n"
+            assert json.loads(line)["collection"]["features"]
 
     def test_tiles_echo_the_snapshot_that_built_them(self, toy_engine):
         async def interact(client):

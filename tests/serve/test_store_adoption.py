@@ -9,6 +9,7 @@ of that order still go through the sort and get copies.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
@@ -73,7 +74,7 @@ def _answers(engine, dataset, table):
             engine.point_by_latlon(float(lat), float(lon))
             for lat, lon in zip(table.lat_deg[::97], table.lon_deg[::97])
         ],
-        "tiles": engine.tiles_geojson(),
+        "tiles": json.loads(engine.tiles_geojson()),
     }
 
 
@@ -81,9 +82,28 @@ class TestAdoption:
     def test_exploded_table_is_adopted(self, toy_serve_table):
         store = ShardStore.from_table(toy_serve_table)
         _assert_adopted(store, toy_serve_table)
-        # The id lookup is the row order itself.
-        ids = toy_serve_table.location_id[[0, 5, len(toy_serve_table) - 1]]
+        # The ids are 0..n-1, so the id lookup is the row order itself.
+        n = len(toy_serve_table)
+        assert toy_serve_table.location_id.tolist() == list(range(n))
+        ids = toy_serve_table.location_id[[0, 5, n - 1]]
         assert store.rows_for_location_ids(ids).tolist() == ids.tolist()
+        with pytest.raises(ServeError, match=rf"unknown location id {n + 7}$"):
+            store.rows_for_location_ids([4, n + 7, -2])
+        with pytest.raises(ServeError, match="unknown location id -1$"):
+            store.rows_for_location_ids([-1])
+
+    def test_gapped_ids_are_adopted(self, toy_serve_table):
+        # Even ids from 0 ascend, so the table is adopted, but id 2k is
+        # row k: the lookup searches.
+        n = len(toy_serve_table)
+        ids = 2 * np.arange(n, dtype=np.int64)
+        table = _rows(toy_serve_table, slice(None), location_id=ids)
+        store = ShardStore.from_table(table)
+        _assert_adopted(store, table)
+        rows = store.rows_for_location_ids([2 * (n - 1), 0, 10])
+        assert rows.tolist() == [n - 1, 0, 5]
+        with pytest.raises(ServeError, match="unknown location id 1$"):
+            store.rows_for_location_ids([0, 1, n])
 
     def test_mapped_npz_is_adopted(self, toy_serve_table, tmp_path):
         path = toy_serve_table.to_npz(tmp_path / "table")

@@ -2,11 +2,12 @@
 
 ``test_golden_tiles.py`` pins national totals and the densest tiles to
 six decimals; these digests pin the whole answer: every tile, field,
-float and polygon vertex, in order. Each digest is of
-``json.dumps(tiles_to_geojson(index, r))`` at every tile resolution the
+float and polygon vertex, in order. Each digest is of the bytes on the
+wire, ``tiles_to_json(index, r)``, and equally of
+``json.dumps(tiles_to_geojson(index, r))``, at every tile resolution the
 grid allows. They were recorded from the per-tile scan with scalar
-polygons that ``tests/oracles/tiles.py`` keeps, so a faster rollup
-must reproduce that answer exactly.
+polygons that ``tests/oracles/tiles.py`` keeps, so a faster rollup or
+encoder must reproduce that answer exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 
 import pytest
 
-from repro.serve import ScenarioParams, tiles_to_geojson
+from repro.serve import ScenarioParams, tiles_to_geojson, tiles_to_json
 
 #: The two scenarios the digests cover: the FCC's 20:1 at beamspread 1
 #: (the default), and 15:1 at beamspread 2.
@@ -54,8 +55,13 @@ TOY_DIGESTS = {
 
 
 def _digest(index, tile_resolution):
-    text = json.dumps(tiles_to_geojson(index, tile_resolution))
-    return hashlib.sha256(text.encode()).hexdigest()
+    """The answer's digest; the encoder's text and the decoded answer
+    re-encoded by ``json.dumps`` must hash alike."""
+    text = tiles_to_json(index, tile_resolution)
+    decoded = json.dumps(tiles_to_geojson(index, tile_resolution))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert hashlib.sha256(decoded.encode()).hexdigest() == digest
+    return digest
 
 
 @pytest.fixture(scope="module")

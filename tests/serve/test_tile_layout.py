@@ -1,10 +1,12 @@
 """The tiles answer against its oracle, and the per-store layout cache.
 
 ``repro.serve.tiles`` aggregates through a :class:`TileLayout` built once
-per (store, tile resolution). ``tests/oracles/tiles.py`` keeps the
-straightforward per-tile scan with scalar polygons. Hypothesis drives
-random cell layouts, tile resolutions and scenarios through both, and
-the answers must agree in every field, float for float.
+per (store, tile resolution), which also holds each tile's encoded
+feature head. ``tests/oracles/tiles.py`` keeps the straightforward
+per-tile scan with scalar polygons. Hypothesis drives random cell
+layouts, tile resolutions and scenarios through both, and the answers
+must agree in every field, float for float, and the encoder's text must
+equal ``json.dumps`` of the oracle's answer.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.serve import (
     build_index,
     tile_aggregates,
     tiles_to_geojson,
+    tiles_to_json,
 )
 from repro.serve.tiles import TileLayout
 
@@ -71,8 +74,11 @@ def _assert_same_answer(index, tile_resolution):
     expected_rows = reference_tile_aggregates(index, tile_resolution)
     assert rows == expected_rows
     assert json.dumps(rows) == json.dumps(expected_rows)
+    text = tiles_to_json(index, tile_resolution)
     got = tiles_to_geojson(index, tile_resolution)
     expected = reference_tiles_to_geojson(index, tile_resolution)
+    # The encoder writes exactly what json.dumps writes for the oracle.
+    assert text == json.dumps(expected)
     assert len(got["features"]) == len(expected["features"])
     for feature, oracle in zip(got["features"], expected["features"]):
         assert feature["properties"] == oracle["properties"]
@@ -169,21 +175,32 @@ class TestLayoutCache:
         tiles_to_geojson(swapped, 1)
         assert sorted(store.tile_layouts) == [1, 3]
 
-    def test_engine_epochs_share_the_layout(self, toy_engine):
+    def test_engine_epochs_share_the_layout(self, toy_engine, monkeypatch):
+        built = []
+        build = TileLayout.build.__func__
+
+        def counting_build(cls, *args):
+            built.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(TileLayout, "build", classmethod(counting_build))
         first = toy_engine.tiles_geojson()
         layout = toy_engine.index.store.tile_layouts[3]
+        heads = layout.heads
         asyncio.run(toy_engine.update_params(ScenarioParams(15.0, 2.0)))
         second = toy_engine.tiles_geojson()
+        assert len(built) == 1
         assert toy_engine.index.store.tile_layouts == {3: layout}
-        assert (first["epoch"], second["epoch"]) == (0, 1)
-        # Polygons are shared, not rebuilt, between answers.
-        rings = [
-            feature["geometry"]["coordinates"][0]
-            for feature in first["collection"]["features"]
-        ]
-        assert rings == layout.rings
-        for feature, ring in zip(second["collection"]["features"], rings):
-            assert feature["geometry"]["coordinates"][0] is ring
+        assert layout.heads is heads
+        epochs = [json.loads(text)["epoch"] for text in (first, second)]
+        assert epochs == [0, 1]
+        assert first != second
+        # Both answers splice the same encoded fragments, tile by tile.
+        for text in (first, second):
+            features = json.loads(text)["collection"]["features"]
+            assert len(features) == len(heads)
+            for head, feature in zip(heads, features):
+                assert json.dumps(feature).startswith(head)
 
     def test_set_params_builds_no_layout(self, toy_engine):
         asyncio.run(toy_engine.update_params(ScenarioParams(15.0, 2.0)))
@@ -201,7 +218,7 @@ class TestLayoutCache:
         assert toy_serve_index.store.tile_layouts == {}
 
     def test_layout_groups_cells_by_tile(self, national_serve_index):
-        tiles_to_geojson(national_serve_index, 3)
+        collection = tiles_to_geojson(national_serve_index, 3)
         layout = national_serve_index.store.tile_layouts[3]
         assert len(layout.tokens) == 724
         assert sum(layout.cells) == national_serve_index.n_cells
@@ -209,6 +226,9 @@ class TestLayoutCache:
         assert (tile_of_sorted[1:] >= tile_of_sorted[:-1]).all()
         assert tile_of_sorted[layout.starts].tolist() == list(range(724))
         assert layout.tokens == sorted(layout.tokens)
-        for ring in layout.rings:
-            assert len(ring) == 7 and ring[0] is ring[-1]
+        assert len(layout.heads) == 724
+        for head, feature in zip(layout.heads, collection["features"]):
+            ring = feature["geometry"]["coordinates"][0]
+            assert len(ring) == 7 and ring[0] == ring[-1]
+            assert json.dumps(feature).startswith(head)
 

@@ -1,5 +1,7 @@
 """Integration tests for the constellation simulation loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,17 @@ class TestConstruction:
         with pytest.raises(SimulationError):
             ConstellationSimulation([], regional_dataset)
 
-    def test_rejects_nonpositive_oversubscription(self, regional_dataset):
-        with pytest.raises(SimulationError):
+    @pytest.mark.parametrize(
+        "oversubscription", [0.0, -1.0, math.nan, math.inf]
+    )
+    def test_rejects_nonpositive_oversubscription(
+        self, regional_dataset, oversubscription
+    ):
+        with pytest.raises(SimulationError, match="finite and positive"):
             ConstellationSimulation(
-                GEN1_SHELLS[:1], regional_dataset, oversubscription=0.0
+                GEN1_SHELLS[:1],
+                regional_dataset,
+                oversubscription=oversubscription,
             )
 
     def test_demands_capped_at_cell_capacity(self, regional_dataset):

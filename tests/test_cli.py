@@ -57,6 +57,26 @@ class TestBadValues:
                 ],
                 "argument --metrics-port: must be in",
             ),
+            (
+                ["simulate", "--oversubscription", "nan"],
+                "simulate failed: oversubscription must be finite",
+            ),
+            (
+                ["timeline", "--oversubscription", "inf"],
+                "timeline failed: oversubscription must be finite",
+            ),
+            (["--seed", "-1", "summary"], "summary failed: map seed"),
+            (
+                [
+                    "serve", "--quick", "--port", "0",
+                    "--explode-seed", "-1",
+                ],
+                "serve failed: explode seed",
+            ),
+            (
+                ["simulate", "--visibility-window", "abc"],
+                "argument --visibility-window: must be 'auto' or an integer",
+            ),
         ],
     )
     def test_exits_2_with_one_error_line(self, argv, message, capsys):

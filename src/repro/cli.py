@@ -68,7 +68,6 @@ def _write_manifest(
     out_path,
     params_hash: Optional[str] = None,
     dataset_fingerprint: Optional[str] = None,
-    engine: Optional[str] = None,
     extra: Optional[dict] = None,
 ) -> Path:
     """Write the RunManifest next to ``out_path`` and log where."""
@@ -77,7 +76,6 @@ def _write_manifest(
         argv=getattr(args, "_argv", []),
         params_hash=params_hash,
         dataset_fingerprint=dataset_fingerprint,
-        engine=engine,
         events_path=args.log_json,
         extra=extra,
     )
@@ -451,7 +449,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
             command="timeline",
             out_path=path,
             dataset_fingerprint=region.fingerprint(),
-            engine=config.engine,
             extra={
                 "profile": config.profile.name,
                 "steps": result.steps,

@@ -3,8 +3,8 @@
 A :class:`RunManifest` captures everything needed to audit (or exactly
 re-run) one sweep or timeline run: the command and argv, git
 commit, a hash of the swept parameters, the dataset
-fingerprint, the engine choice, the full span forest, and a metrics
-snapshot. ``repro-divide report <manifest>`` renders it back (see
+fingerprint, the full span forest, and a metrics snapshot.
+``repro-divide report <manifest>`` renders it back (see
 :mod:`repro.obs.report`).
 
 Manifests are plain JSON, schema-tagged ``repro-run-manifest/1``, and
@@ -65,7 +65,6 @@ class RunManifest:
     commit: str = "unknown"
     params_hash: Optional[str] = None
     dataset_fingerprint: Optional[str] = None
-    engine: Optional[str] = None
     spans: List[Dict] = field(default_factory=list)
     metrics: Dict[str, Dict] = field(default_factory=dict)
     events_path: Optional[str] = None
@@ -81,7 +80,6 @@ class RunManifest:
             "commit": self.commit,
             "params_hash": self.params_hash,
             "dataset_fingerprint": self.dataset_fingerprint,
-            "engine": self.engine,
             "spans": self.spans,
             "metrics": self.metrics,
             "events_path": self.events_path,
@@ -90,7 +88,11 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "RunManifest":
-        """Inverse of :meth:`as_dict`; validates the schema tag."""
+        """Inverse of :meth:`as_dict`; validates the schema tag.
+
+        Keys this class does not know are ignored, so a manifest written
+        by an older version (one with an ``engine`` key, say) still loads.
+        """
         schema = payload.get("schema")
         if schema != MANIFEST_SCHEMA:
             raise ReproError(
@@ -104,7 +106,6 @@ class RunManifest:
             commit=str(payload.get("commit", "unknown")),
             params_hash=payload.get("params_hash"),
             dataset_fingerprint=payload.get("dataset_fingerprint"),
-            engine=payload.get("engine"),
             spans=list(payload.get("spans", [])),
             metrics=dict(payload.get("metrics", {})),
             events_path=payload.get("events_path"),
@@ -139,7 +140,6 @@ def collect_manifest(
     argv: Optional[List[str]] = None,
     params_hash: Optional[str] = None,
     dataset_fingerprint: Optional[str] = None,
-    engine: Optional[str] = None,
     events_path: Optional[Union[str, Path]] = None,
     extra: Optional[Dict[str, object]] = None,
     tracer=None,
@@ -157,7 +157,6 @@ def collect_manifest(
         commit=git_sha(),
         params_hash=params_hash,
         dataset_fingerprint=dataset_fingerprint,
-        engine=engine,
         spans=tracer.as_dicts(),
         metrics=registry.snapshot(),
         events_path=str(events_path) if events_path else None,

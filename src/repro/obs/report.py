@@ -345,8 +345,6 @@ def format_report(path: Union[str, Path], top: int = 10) -> str:
             + (f" (argv: {' '.join(manifest.argv)})" if manifest.argv else "")
         )
         header.append(f"commit: {manifest.commit}")
-        if manifest.engine:
-            header.append(f"engine: {manifest.engine}")
         if manifest.params_hash:
             header.append(f"params hash: {manifest.params_hash}")
         if manifest.dataset_fingerprint:

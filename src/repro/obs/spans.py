@@ -12,7 +12,7 @@ instrumented hot paths use::
 
     from repro.obs import span
 
-    with span("sim.visibility", engine="fast"):
+    with span("sim.step", time_s=time_s):
         csr, lats = index.query(time_s)
 
 When telemetry is disabled (:func:`repro.obs.configure` or the

@@ -2,20 +2,22 @@
 
 Each simulation step produces a visibility relation (which satellites can
 serve which cells) and the strategy decides where every satellite points
-its beams. Two strategies are provided:
+its beams. A strategy implements one method,
+:meth:`BeamAssignmentStrategy.assign_csr`, over the CSR relation of
+:class:`~repro.sim.visibility_index.CSRVisibility`. Three are provided:
 
 * :class:`GreedyDemandFirst` — serve the hungriest cells first, pinning as
   many beams as their provisioned demand needs (the paper's peak-cell
   picture).
 * :class:`ProportionalFair` — one beam per cell first (coverage before
   capacity), then distribute leftover beams by remaining demand.
+* :class:`StickyGreedy` — demand-first, but each cell keeps last step's
+  serving satellite while it can.
 
-Both run on the CSR visibility arrays of
-:class:`~repro.sim.visibility_index.CSRVisibility` via fast kernels that
-hoist all per-cell NumPy work (demand ordering, beam requirements) into
-bulk operations done once per step; the old per-cell
-``np.argsort(-free_beams[sats])`` is replaced by a single best-candidate
-scan with an early exit on untouched satellites.
+The greedy and fair kernels hoist all per-cell NumPy work (demand
+ordering, beam requirements) into bulk operations done once per step;
+the old per-cell ``np.argsort(-free_beams[sats])`` is replaced by a
+single best-candidate scan with an early exit on untouched satellites.
 
 The expensive regime is late in a step, when most satellites are
 drained: a cell's best-candidate scan then walks a long row to find
@@ -30,9 +32,9 @@ ProportionalFair leftover pass additionally swaps its
 stale-entry skipping, preserving the argmax tie-break (equal unmet
 demand -> lowest cell id) via the heap's (key, cell) ordering.
 
-The kernels are outcome-identical to the original interpreted loops,
-which are retained verbatim in ``tests/oracles/assignment.py`` for
-differential testing.
+All three are outcome-identical to the original interpreted loops over
+per-cell lists, which are kept verbatim in ``tests/oracles/assignment.py``
+for differential testing.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import abc
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -92,56 +94,23 @@ class BeamAssignmentStrategy(abc.ABC):
     """Interface: assign satellite beams to demand cells for one step."""
 
     @abc.abstractmethod
-    def assign(
-        self,
-        visible: List[np.ndarray],
-        demands_mbps: np.ndarray,
-        satellite_count: int,
-        plan: BeamPlan,
-    ) -> AssignmentOutcome:
-        """Assign beams.
-
-        Parameters
-        ----------
-        visible:
-            Per-cell arrays of visible satellite indices.
-        demands_mbps:
-            Per-cell provisioned demand (already oversubscribed).
-        satellite_count:
-            Number of satellites in the constellation snapshot.
-        plan:
-            Beam counts and capacities.
-        """
-
     def assign_csr(
         self,
         visibility: CSRVisibility,
         demands_mbps: np.ndarray,
         plan: BeamPlan,
     ) -> AssignmentOutcome:
-        """Assign beams from a CSR visibility relation.
+        """Assign beams.
 
-        Strategies with a vectorized kernel override this; the default
-        adapts back to the per-cell list API so legacy strategies keep
-        working inside the fast simulation path.
+        Parameters
+        ----------
+        visibility:
+            The cell -> visible-satellites relation of this step.
+        demands_mbps:
+            Per-cell provisioned demand (already oversubscribed).
+        plan:
+            Beam counts and capacities.
         """
-        return self.assign(
-            visibility.to_lists(),
-            demands_mbps,
-            visibility.n_satellites,
-            plan,
-        )
-
-    @staticmethod
-    def _check_inputs(
-        visible: List[np.ndarray], demands_mbps: np.ndarray
-    ) -> None:
-        if len(visible) != demands_mbps.shape[0]:
-            raise SimulationError(
-                "visibility list and demand vector are misaligned"
-            )
-        if np.any(demands_mbps < 0.0):
-            raise SimulationError("negative cell demand")
 
     @staticmethod
     def _check_csr(
@@ -151,6 +120,8 @@ class BeamAssignmentStrategy(abc.ABC):
             raise SimulationError(
                 "visibility relation and demand vector are misaligned"
             )
+        if not np.isfinite(demands_mbps).all():
+            raise SimulationError("non-finite cell demand")
         if np.any(demands_mbps < 0.0):
             raise SimulationError("negative cell demand")
 
@@ -192,20 +163,6 @@ def _live_candidates(
 
 class GreedyDemandFirst(BeamAssignmentStrategy):
     """Hungriest cells claim beams first, up to their full need."""
-
-    def assign(
-        self,
-        visible: List[np.ndarray],
-        demands_mbps: np.ndarray,
-        satellite_count: int,
-        plan: BeamPlan,
-    ) -> AssignmentOutcome:
-        self._check_inputs(visible, demands_mbps)
-        return self.assign_csr(
-            CSRVisibility.from_lists(visible, satellite_count),
-            demands_mbps,
-            plan,
-        )
 
     def assign_csr(
         self,
@@ -293,20 +250,6 @@ class GreedyDemandFirst(BeamAssignmentStrategy):
 
 class ProportionalFair(BeamAssignmentStrategy):
     """Coverage first (one beam per cell), then demand-weighted extras."""
-
-    def assign(
-        self,
-        visible: List[np.ndarray],
-        demands_mbps: np.ndarray,
-        satellite_count: int,
-        plan: BeamPlan,
-    ) -> AssignmentOutcome:
-        self._check_inputs(visible, demands_mbps)
-        return self.assign_csr(
-            CSRVisibility.from_lists(visible, satellite_count),
-            demands_mbps,
-            plan,
-        )
 
     def assign_csr(
         self,
@@ -469,43 +412,15 @@ class StickyGreedy(GreedyDemandFirst):
     keeps it while it remains visible with enough free beams — modeling a
     scheduler that avoids needless beam handovers. Stateful across steps:
     use one instance per simulation run.
+
+    Cells are visited hungriest first, as in :class:`GreedyDemandFirst`,
+    but each takes beams from its candidates in row order (ascending
+    satellite id) with last step's serving satellite moved to the front,
+    instead of from the candidate with the most free beams.
     """
 
     def __init__(self) -> None:
         self._previous: Optional[np.ndarray] = None
-
-    def assign(
-        self,
-        visible: List[np.ndarray],
-        demands_mbps: np.ndarray,
-        satellite_count: int,
-        plan: BeamPlan,
-    ) -> AssignmentOutcome:
-        self._check_inputs(visible, demands_mbps)
-        if self._previous is not None and self._previous.shape[0] != (
-            demands_mbps.shape[0]
-        ):
-            raise SimulationError("sticky state misaligned with cell count")
-        # Re-order each cell's candidate list to put last step's serving
-        # satellite first, then delegate to the greedy pass.
-        if self._previous is None:
-            reordered = visible
-        else:
-            reordered = []
-            for cell, sats in enumerate(visible):
-                previous = self._previous[cell]
-                if previous >= 0 and previous in sats:
-                    rest = sats[sats != previous]
-                    reordered.append(
-                        np.concatenate(([previous], rest)).astype(int)
-                    )
-                else:
-                    reordered.append(sats)
-        outcome = self._assign_prefer_first(
-            reordered, demands_mbps, satellite_count, plan
-        )
-        self._previous = outcome.serving_satellite.copy()
-        return outcome
 
     def assign_csr(
         self,
@@ -513,44 +428,43 @@ class StickyGreedy(GreedyDemandFirst):
         demands_mbps: np.ndarray,
         plan: BeamPlan,
     ) -> AssignmentOutcome:
-        return self.assign(
-            visibility.to_lists(),
-            demands_mbps,
-            visibility.n_satellites,
-            plan,
-        )
-
-    def _assign_prefer_first(
-        self,
-        visible: List[np.ndarray],
-        demands_mbps: np.ndarray,
-        satellite_count: int,
-        plan: BeamPlan,
-    ) -> AssignmentOutcome:
-        """Greedy pass that honours each cell's candidate ordering."""
+        self._check_csr(visibility, demands_mbps)
         n_cells = demands_mbps.shape[0]
-        free_beams = np.full(satellite_count, plan.beams_per_satellite, dtype=int)
-        granted = np.zeros(n_cells, dtype=np.int64)
-        serving = np.full(n_cells, -1, dtype=int)
-        order = np.argsort(-demands_mbps, kind="stable")
-        needed_all = _beams_needed(demands_mbps, plan)
-        for cell in order:
-            sats = visible[cell]
-            if sats.size == 0:
+        if self._previous is not None and self._previous.shape[0] != n_cells:
+            raise SimulationError("sticky state misaligned with cell count")
+        previous = None if self._previous is None else self._previous.tolist()
+        needed = _beams_needed(demands_mbps, plan).tolist()
+        free = [plan.beams_per_satellite] * visibility.n_satellites
+        granted = [0] * n_cells
+        serving = [-1] * n_cells
+        for cell in np.argsort(-demands_mbps, kind="stable").tolist():
+            row = visibility.cell(cell).tolist()
+            if not row:
                 continue
-            needed = needed_all[cell]
+            if previous is not None:
+                kept = previous[cell]
+                if kept >= 0 and kept in row:
+                    row.remove(kept)
+                    row.insert(0, kept)
+            need = needed[cell]
             got = 0
-            for sat in sats:  # candidate order IS the preference order
-                take = min(needed - got, int(free_beams[sat]))
+            for sat in row:  # candidate order IS the preference order
+                take = min(need - got, free[sat])
                 if take <= 0:
                     continue
-                free_beams[sat] -= take
+                free[sat] -= take
                 if got == 0:
-                    serving[cell] = int(sat)
+                    serving[cell] = sat
                 got += take
-                if got == needed:
+                if got == need:
                     break
             granted[cell] = got
-        return _finish_outcome(
-            granted, serving, free_beams, demands_mbps, plan
+        outcome = _finish_outcome(
+            np.array(granted, dtype=np.int64),
+            np.array(serving, dtype=int),
+            np.array(free, dtype=int),
+            demands_mbps,
+            plan,
         )
+        self._previous = outcome.serving_satellite.copy()
+        return outcome

@@ -21,6 +21,7 @@ from repro.demand.dataset import DemandDataset
 from repro.errors import SimulationError
 from repro.geo.hexgrid import CellId, HexGrid
 from repro.sim.assignment import AssignmentOutcome, BeamAssignmentStrategy
+from repro.sim.visibility_index import CSRVisibility
 from repro.spectrum.beams import BeamPlan
 
 
@@ -86,16 +87,17 @@ class SpreadAssignment(BeamAssignmentStrategy):
                 raise SimulationError(f"cells in multiple groups: {overlap}")
             seen.update(group)
 
-    def assign(
+    def assign_csr(
         self,
-        visible: List[np.ndarray],
+        visibility: CSRVisibility,
         demands_mbps: np.ndarray,
-        satellite_count: int,
         plan: BeamPlan,
     ) -> AssignmentOutcome:
-        self._check_inputs(visible, demands_mbps)
+        self._check_csr(visibility, demands_mbps)
         n_cells = demands_mbps.shape[0]
-        free_beams = np.full(satellite_count, plan.beams_per_satellite, dtype=int)
+        free_beams = np.full(
+            visibility.n_satellites, plan.beams_per_satellite, dtype=int
+        )
         allocated = np.zeros(n_cells)
         covered = np.zeros(n_cells, dtype=bool)
         serving = np.full(n_cells, -1, dtype=int)
@@ -107,7 +109,7 @@ class SpreadAssignment(BeamAssignmentStrategy):
         for g, group in enumerate(self.groups):
             common: Optional[set] = None
             for cell in group:
-                sats = set(visible[cell].tolist())
+                sats = set(visibility.cell(cell).tolist())
                 common = sats if common is None else (common & sats)
             group_sats.append(np.array(sorted(common or ()), dtype=int))
             group_demand[g] = demands_mbps[group].sum()

@@ -11,15 +11,17 @@ coverage and capacity degrade:
   beam capacity for the same provisioned demand.
 
 Both plug into :class:`~repro.sim.simulation.ConstellationSimulation` via
-its ``impairments`` parameter and compose freely.
+its ``impairments`` parameter and compose freely: each step,
+:func:`apply_impairments_csr` ANDs every satellite keep-mask into one,
+filters the step's CSR relation with it, then runs every demand scaling
+in order.
 """
 
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -101,51 +103,6 @@ class RainFade(Impairment):
         return scaled
 
 
-def _combined_keep_mask(
-    impairments: Sequence[Impairment],
-    satellite_count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    keep = np.ones(satellite_count, dtype=bool)
-    for impairment in impairments:
-        mask = impairment.filter_satellites(satellite_count, rng)
-        if mask is not None:
-            if mask.shape != (satellite_count,):
-                raise SimulationError("impairment mask misshapen")
-            keep &= mask
-    return keep
-
-
-def _scaled_demands(
-    impairments: Sequence[Impairment],
-    demands_mbps: np.ndarray,
-    cell_positions: Sequence[LatLon],
-) -> np.ndarray:
-    demands = demands_mbps
-    for impairment in impairments:
-        demands = impairment.scale_demands(demands, cell_positions)
-    return demands
-
-
-def apply_impairments(
-    impairments: Sequence[Impairment],
-    visible: List[np.ndarray],
-    demands_mbps: np.ndarray,
-    cell_positions: Sequence[LatLon],
-    satellite_count: int,
-    rng: np.random.Generator,
-) -> tuple:
-    """Run all impairments over one step's inputs.
-
-    Returns (filtered visibility lists, scaled demand vector).
-    """
-    keep = _combined_keep_mask(impairments, satellite_count, rng)
-    if not keep.all():
-        visible = [sats[keep[sats]] for sats in visible]
-    demands = _scaled_demands(impairments, demands_mbps, cell_positions)
-    return visible, demands
-
-
 def apply_impairments_csr(
     impairments: Sequence[Impairment],
     visibility,
@@ -153,14 +110,23 @@ def apply_impairments_csr(
     cell_positions: Sequence[LatLon],
     rng: np.random.Generator,
 ) -> tuple:
-    """CSR twin of :func:`apply_impairments`.
+    """Run all impairments over one step's inputs.
 
-    Takes and returns a :class:`~repro.sim.visibility_index.CSRVisibility`;
-    the satellite filter is a single vectorized mask application instead
-    of a per-cell list rebuild.
+    Takes a :class:`~repro.sim.visibility_index.CSRVisibility` and
+    returns ``(filtered relation, scaled demand vector)``; the satellite
+    filter is a single vectorized mask application.
     """
-    keep = _combined_keep_mask(impairments, visibility.n_satellites, rng)
+    satellite_count = visibility.n_satellites
+    keep = np.ones(satellite_count, dtype=bool)
+    for impairment in impairments:
+        mask = impairment.filter_satellites(satellite_count, rng)
+        if mask is not None:
+            if mask.shape != (satellite_count,):
+                raise SimulationError("impairment mask misshapen")
+            keep &= mask
     if not keep.all():
         visibility = visibility.filter_satellites(keep)
-    demands = _scaled_demands(impairments, demands_mbps, cell_positions)
+    demands = demands_mbps
+    for impairment in impairments:
+        demands = impairment.scale_demands(demands, cell_positions)
     return visibility, demands

@@ -1,36 +1,30 @@
 """The constellation simulation loop.
 
 Per step: propagate every shell, find the satellites visible from each
-demand cell (a KD-tree over ECEF positions, since "within central angle
-psi" is "within chord distance 2R sin(psi/2)" on the sphere), hand the
-visibility relation to a beam-assignment strategy, and accumulate metrics.
+demand cell, hand the visibility relation to a beam-assignment strategy,
+and accumulate metrics. The visibility relation comes from a precomputed
+:class:`~repro.sim.visibility_index.VisibilityIndex`, which builds its
+cell KD-trees once and propagates satellites by rotating cached epoch
+geometry, and reaches strategies as a CSR array relation
+(:class:`~repro.sim.visibility_index.CSRVisibility`).
 
-Two engines produce each step's visibility relation:
-
-* ``engine="fast"`` (default) — a precomputed
-  :class:`~repro.sim.visibility_index.VisibilityIndex` that builds its
-  KD-tree once and propagates satellites by rotating cached epoch
-  geometry, handing strategies a CSR array relation.
-* ``engine="reference"`` — the original per-step KD-tree rebuild over
-  Python lists, retained for differential testing.
-
-Both engines produce identical results; ``tests/sim/test_parity.py``
-asserts it report for report.
+:meth:`ConstellationSimulation.step` is the one step path: :meth:`run`,
+:func:`~repro.sim.trace.record_trace` and the timeline workload all call
+it. The original per-step KD-tree rebuild over Python lists lives on as
+the test oracle in ``tests/oracles/simulation.py``, and
+``tests/sim/test_parity.py`` asserts the two agree report for report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro import obs
 from repro.demand.dataset import DemandDataset
 from repro.errors import SimulationError
-from repro.orbits.kepler import ecef_to_latlon, eci_to_ecef
 from repro.orbits.shells import Shell
 from repro.orbits.gateways import GATEWAY_MIN_ELEVATION_DEG, GatewaySite
 from repro.orbits.visibility import (
@@ -41,11 +35,7 @@ from repro.orbits.visibility import (
 from repro.orbits.walker import WalkerDelta
 from repro.sim.assignment import BeamAssignmentStrategy, GreedyDemandFirst
 from repro.sim.engine import SimulationClock
-from repro.sim.impairments import (
-    Impairment,
-    apply_impairments,
-    apply_impairments_csr,
-)
+from repro.sim.impairments import Impairment, apply_impairments_csr
 from repro.sim.metrics import CoverageMetrics, SimulationReport
 from repro.sim.visibility_index import VisibilityIndex
 from repro.spectrum.beams import BeamPlan, starlink_beam_plan
@@ -66,7 +56,6 @@ class ConstellationSimulation:
         gateways: Optional[Sequence["GatewaySite"]] = None,
         impairments: Optional[Sequence["Impairment"]] = None,
         impairment_seed: int = 0,
-        engine: str = "fast",
         visibility_window: Union[int, str] = "auto",
     ):
         """Set up the simulation.
@@ -79,11 +68,7 @@ class ConstellationSimulation:
         ``impairments`` (see :mod:`repro.sim.impairments`) inject
         satellite outages and weather derating into every step.
 
-        ``engine`` selects the visibility machinery: ``"fast"`` (the
-        vectorized :class:`VisibilityIndex` path) or ``"reference"``
-        (the original per-step KD-tree rebuild).
-
-        ``visibility_window`` is forwarded to the fast path's
+        ``visibility_window`` is forwarded to the
         :class:`VisibilityIndex`: ``"auto"`` (default) lets the index
         choose between per-step rebuilds and cached-candidate windows
         from the step size, an int pins the window length. All modes
@@ -96,9 +81,6 @@ class ConstellationSimulation:
                 "oversubscription must be finite and positive: "
                 f"{oversubscription!r}"
             )
-        if engine not in ("fast", "reference"):
-            raise SimulationError(f"unknown simulation engine: {engine!r}")
-        self.engine = engine
         self.shells = list(shells)
         self.dataset = dataset
         self.beam_plan = beam_plan or starlink_beam_plan()
@@ -160,7 +142,7 @@ class ConstellationSimulation:
 
     @property
     def visibility_index(self) -> VisibilityIndex:
-        """The precomputed fast-path visibility index (built lazily)."""
+        """The precomputed visibility index (built lazily)."""
         if self._index is None:
             self._index = VisibilityIndex(
                 self.walkers,
@@ -194,56 +176,6 @@ class ConstellationSimulation:
             axis=-1,
         )
 
-    def visibility(self, time_s: float):
-        """(visible sat-index lists per cell, all sat latitudes) at a time.
-
-        Served by the fast index unless ``engine="reference"``; both
-        produce the same per-cell arrays.
-        """
-        if self.engine == "fast":
-            csr, sat_lats = self.visibility_index.query(time_s)
-            return csr.to_lists(), sat_lats
-        return self._visibility(time_s)
-
-    def _visibility(self, time_s: float):
-        """Reference visibility: per-step KD-tree rebuild (original code).
-
-        Kept verbatim as the baseline the fast
-        :class:`VisibilityIndex` is differentially tested against.
-        """
-        visible_per_cell: List[List[int]] = [[] for _ in range(self.dataset.n_cells)]
-        all_lats: List[np.ndarray] = []
-        offset = 0
-        for shell_index, (walker, chord) in enumerate(
-            zip(self.walkers, self._chord_radii)
-        ):
-            ecef = eci_to_ecef(walker.positions_eci(time_s), time_s)
-            lat, _, _ = ecef_to_latlon(ecef)
-            all_lats.append(lat)
-            tree = cKDTree(ecef)
-            eligible = None
-            if self.gateways:
-                # Bent-pipe mode: only satellites currently seeing a
-                # gateway may carry user traffic.
-                gw_hits = tree.query_ball_point(
-                    self._gateway_ecef, r=self._gateway_radii[shell_index]
-                )
-                eligible = set()
-                for hit in gw_hits:
-                    eligible.update(hit)
-            # Chord between a ground point and a satellite at the coverage
-            # edge: use the exact slant distance at the central-angle limit.
-            hits = tree.query_ball_point(self._cell_ecef, r=chord)
-            for cell_index, sat_indices in enumerate(hits):
-                visible_per_cell[cell_index].extend(
-                    offset + s
-                    for s in sat_indices
-                    if eligible is None or s in eligible
-                )
-            offset += walker.total
-        visible = [np.array(v, dtype=int) for v in visible_per_cell]
-        return visible, np.concatenate(all_lats)
-
     def run(self, clock: SimulationClock) -> CoverageMetrics:
         """Run the simulation, returning the raw metric accumulators."""
         metrics = CoverageMetrics(cell_count=self.dataset.n_cells)
@@ -254,13 +186,11 @@ class ConstellationSimulation:
         nnz = registry.counter("sim.csr.nnz")
         covered_cells = registry.counter("sim.covered.cells")
         allocated_total = registry.counter("sim.allocated.total_mbps")
-        if self.engine == "fast":
-            # Give the index the clock's step so window="auto" can size
-            # candidate windows before the first two queries land.
-            self.visibility_index.configure_window(step_hint_s=clock.step_s)
+        # Give the index the clock's step so window="auto" can size
+        # candidate windows before the first two queries land.
+        self.visibility_index.configure_window(step_hint_s=clock.step_s)
         with obs.span(
             "sim.run",
-            engine=self.engine,
             cells=self.dataset.n_cells,
             satellites=self.satellite_count,
         ):
@@ -268,9 +198,8 @@ class ConstellationSimulation:
                 outcome, in_view, sat_lats = self.step(time_s)
                 if int(outcome.beams_used.max(initial=0)) > self.beam_plan.beams_per_satellite:
                     raise SimulationError("strategy oversubscribed a satellite's beams")
-                # Correctness counters: engine-independent by construction
-                # (both engines hand back identical outcomes), asserted by
-                # tests/obs/test_instrumentation.py.
+                # Correctness counters, asserted against the reference
+                # oracle's outcomes by tests/obs/test_instrumentation.py.
                 steps.inc()
                 nnz.inc(int(in_view.sum()))
                 covered_cells.inc(int(outcome.covered.sum()))
@@ -301,15 +230,7 @@ class ConstellationSimulation:
             and demands_mbps.shape[0] != self.dataset.n_cells
         ):
             raise SimulationError("demand override misaligned with cells")
-        if self.engine == "fast":
-            return self._step_fast(time_s, demands_mbps)
-        return self._step_reference(time_s, demands_mbps)
-
-    def _step_fast(
-        self, time_s: float, demands_override: Optional[np.ndarray] = None
-    ):
-        """One step on the CSR fast path."""
-        with obs.span("sim.step", engine="fast", time_s=time_s):
+        with obs.span("sim.step", time_s=time_s):
             with obs.span("sim.visibility") as vis_span:
                 csr, sat_lats = self.visibility_index.query(time_s)
                 stats = self.visibility_index.last_query_stats
@@ -330,9 +251,7 @@ class ConstellationSimulation:
                         stats["refine_ratio"]
                     )
             demands = (
-                demands_override
-                if demands_override is not None
-                else self.demands_mbps
+                demands_mbps if demands_mbps is not None else self.demands_mbps
             )
             if self.impairments:
                 with obs.span("sim.impairments"):
@@ -346,35 +265,6 @@ class ConstellationSimulation:
             with obs.span("sim.assignment"):
                 outcome = self.strategy.assign_csr(csr, demands, self.beam_plan)
             return outcome, csr.counts(), sat_lats
-
-    def _step_reference(
-        self, time_s: float, demands_override: Optional[np.ndarray] = None
-    ):
-        """One step on the original list-of-arrays path."""
-        with obs.span("sim.step", engine="reference", time_s=time_s):
-            with obs.span("sim.visibility"):
-                visible, sat_lats = self._visibility(time_s)
-            demands = (
-                demands_override
-                if demands_override is not None
-                else self.demands_mbps
-            )
-            if self.impairments:
-                with obs.span("sim.impairments"):
-                    visible, demands = apply_impairments(
-                        self.impairments,
-                        visible,
-                        demands,
-                        self._cell_positions,
-                        self.satellite_count,
-                        self._impairment_rng,
-                    )
-            with obs.span("sim.assignment"):
-                outcome = self.strategy.assign(
-                    visible, demands, self.satellite_count, self.beam_plan
-                )
-            in_view = np.array([v.size for v in visible], dtype=np.int64)
-            return outcome, in_view, sat_lats
 
     def report(self, metrics: CoverageMetrics) -> SimulationReport:
         """Summarize a finished run."""

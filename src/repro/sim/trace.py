@@ -102,27 +102,13 @@ def record_trace(
     simulation: ConstellationSimulation, clock: SimulationClock
 ) -> SimulationTrace:
     """Run ``simulation`` over ``clock``, capturing the full trace."""
+    simulation.visibility_index.configure_window(step_hint_s=clock.step_s)
     times: List[float] = []
     covered: List[np.ndarray] = []
     allocated: List[np.ndarray] = []
     serving: List[np.ndarray] = []
     for time_s in clock.times():
-        visible, _ = simulation.visibility(time_s)
-        demands = simulation.demands_mbps
-        if simulation.impairments:
-            from repro.sim.impairments import apply_impairments
-
-            visible, demands = apply_impairments(
-                simulation.impairments,
-                visible,
-                demands,
-                simulation._cell_positions,
-                simulation.satellite_count,
-                simulation._impairment_rng,
-            )
-        outcome = simulation.strategy.assign(
-            visible, demands, simulation.satellite_count, simulation.beam_plan
-        )
+        outcome, _, _ = simulation.step(time_s)
         times.append(time_s)
         covered.append(outcome.covered.copy())
         allocated.append(outcome.allocated_mbps.copy())

@@ -2,13 +2,16 @@
 
 The simulation's visibility relation ("which satellites can serve which
 cells right now") was originally a Python list of per-cell index arrays,
-rebuilt from a fresh per-shell KD-tree every step. This module replaces
-both halves with array machinery:
+rebuilt from a fresh per-shell KD-tree every step; that rebuild is now
+the test oracle in ``tests/oracles/simulation.py``. This module holds
+the array machinery the simulator runs instead:
 
 * :class:`CSRVisibility` stores the relation in CSR form — one flat
   ``indices`` array of satellite ids plus an ``indptr`` offset array —
   so strategies, impairments, and metrics can operate on it with bulk
-  NumPy ops. ``to_lists()`` adapts back to the legacy list-of-arrays API.
+  NumPy ops. ``cell(c)`` reads one cell's row;
+  ``from_lists()`` packs per-cell arrays (tests build relations that
+  way).
 * :class:`VisibilityIndex` precomputes everything that does not change
   between steps: KD-trees over the (static, Earth-fixed) demand cells,
   one per chunk of consecutive cells, and each shell's epoch ECI
@@ -77,7 +80,8 @@ class CSRVisibility:
 
     ``indices[indptr[c]:indptr[c + 1]]`` are the satellite ids visible
     from cell ``c``, in ascending order when produced by
-    :class:`VisibilityIndex` (matching the legacy per-cell arrays).
+    :class:`VisibilityIndex` (matching the reference rebuild's per-cell
+    arrays).
     """
 
     indptr: np.ndarray
@@ -105,10 +109,6 @@ class CSRVisibility:
     def counts(self) -> np.ndarray:
         """Visible-satellite count per cell."""
         return np.diff(self.indptr)
-
-    def to_lists(self) -> List[np.ndarray]:
-        """Legacy list-of-arrays view (views into ``indices``)."""
-        return np.split(self.indices, self.indptr[1:-1])
 
     @classmethod
     def from_lists(

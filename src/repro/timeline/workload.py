@@ -1,13 +1,13 @@
-"""The timeline workload: diurnal demand + churn over the step engine.
+"""The timeline workload: diurnal demand + churn over the simulator step.
 
-:func:`run_timeline` drives a :class:`ConstellationSimulation` with
+:func:`run_timeline` drives :meth:`ConstellationSimulation.step` with
 sub-minute steps (through the cached-candidate windowed visibility
 index — ``window="auto"`` sizes candidate windows from the clock's
-step), applying per-county diurnal multipliers to the provisioned
-demand each step and charging handover-churn outage windows against
-the allocated capacity. It accumulates per-cell QoE timelines the
-static pipeline cannot express: unserved-hours-per-day and
-reconnection-outage minutes.
+step), passing per-county diurnal multiples of the provisioned demand
+as each step's demand override and charging handover-churn outage
+windows against the allocated capacity. It accumulates per-cell QoE
+timelines the static pipeline cannot express: unserved-hours-per-day
+and reconnection-outage minutes.
 
 **Static-identity differential.** With the flat profile and churn
 disabled, every per-step demand override is bitwise equal to the
@@ -15,7 +15,8 @@ static ``demands_mbps`` (``base * 1.0`` is exact) and every derate
 factor is exactly ``1.0``, so the timeline's
 :class:`~repro.sim.metrics.SimulationReport` must equal the static
 pipeline's field-for-field. :func:`run_timeline` verifies this
-whenever the configuration is eligible and records the verdict in
+exactly when the configuration is eligible
+(:attr:`TimelineConfig.identity_eligible`) and records the verdict in
 :attr:`TimelineResult.flat_identical`; the tests and the
 ``timeline-smoke`` CI job assert it.
 """
@@ -67,13 +68,8 @@ class TimelineConfig:
     )
     oversubscription: float = 20.0
     strategy: str = "greedy"
-    engine: str = "fast"
     visibility_window: Union[int, str] = "auto"
     start_s: float = 0.0
-    verify_identity: Optional[bool] = None
-    """``None`` verifies the static-identity differential exactly when
-    eligible (flat profile, churn disabled); ``True`` forces the
-    comparison run regardless; ``False`` skips it."""
 
     def __post_init__(self) -> None:
         if self.strategy not in _STRATEGIES:
@@ -196,7 +192,6 @@ def run_timeline(
         dataset,
         oversubscription=config.oversubscription,
         strategy=_STRATEGIES[config.strategy](),
-        engine=config.engine,
         visibility_window=config.visibility_window,
     )
     clock = config.clock()
@@ -232,10 +227,7 @@ def run_timeline(
     outage_counter = registry.counter("timeline.outage_s")
     unserved_counter = registry.counter("timeline.unserved_cell_steps")
 
-    if config.engine == "fast":
-        simulation.visibility_index.configure_window(
-            step_hint_s=clock.step_s
-        )
+    simulation.visibility_index.configure_window(step_hint_s=clock.step_s)
     with obs.span(
         "timeline.run",
         cells=cell_count,
@@ -243,7 +235,6 @@ def run_timeline(
         steps=clock.step_count,
         profile=config.profile.name,
         strategy=config.strategy,
-        engine=config.engine,
     ):
         for time_s in clock.times():
             multiplier = config.profile.cell_multipliers(time_s, phase_lon)
@@ -309,12 +300,7 @@ def run_timeline(
 
     report = simulation.report(metrics)
     flat_identical: Optional[bool] = None
-    verify = (
-        config.identity_eligible
-        if config.verify_identity is None
-        else config.verify_identity
-    )
-    if verify:
+    if config.identity_eligible:
         flat_identical = _matches_static(
             dataset, shells, config, clock, report
         )
@@ -362,7 +348,6 @@ def _matches_static(
         dataset,
         oversubscription=config.oversubscription,
         strategy=_STRATEGIES[config.strategy](),
-        engine=config.engine,
         visibility_window=config.visibility_window,
     )
     static_report = static.report(static.run(clock))
@@ -394,7 +379,6 @@ def write_timeline_jsonl(
                 "duration_s": float(result.config.duration_s),
                 "profile": result.config.profile.name,
                 "strategy": result.config.strategy,
-                "engine": result.config.engine,
                 "oversubscription": float(result.config.oversubscription),
                 "flat_identical": result.flat_identical,
             }

@@ -18,6 +18,7 @@ from repro.demand.regions import QUICK_BBOX
 from repro.demand.synthetic import generate_national_map
 from repro.geo.coords import LatLon
 from repro.geo.hexgrid import CellId
+from repro.sim.visibility_index import CSRVisibility
 
 
 @pytest.fixture(scope="session")
@@ -69,6 +70,13 @@ def build_toy_dataset(counts, latitudes=None, incomes=None) -> DemandDataset:
         )
     return DemandDataset(
         cells=cells, counties=counties, grid_resolution=5, description="toy"
+    )
+
+
+def assign_lists(strategy, visible, demands_mbps, satellite_count, plan):
+    """``strategy.assign_csr`` over a relation given as per-cell id lists."""
+    return strategy.assign_csr(
+        CSRVisibility.from_lists(visible, satellite_count), demands_mbps, plan
     )
 
 

@@ -2,65 +2,68 @@
 pipeline, and the disabled no-op path, all against the global telemetry.
 """
 
-import numpy as np
-import pytest
-
 from repro import obs
 from repro.orbits.shells import GEN1_SHELLS
 from repro.sim.engine import SimulationClock
 from repro.sim.simulation import ConstellationSimulation
-from repro.sim.assignment import GreedyDemandFirst
 
 from tests.oracles.assignment import ReferenceGreedyDemandFirst
+from tests.oracles.simulation import reference_step
 
 CLOCK = dict(duration_s=120.0, step_s=60.0)
 
-#: The counters the two engines must agree on exactly — the telemetry
-#: restatement of "fast and reference produce identical outcomes".
-CORRECTNESS_COUNTERS = (
-    "sim.steps",
-    "sim.csr.nnz",
-    "sim.covered.cells",
-    "sim.allocated.total_mbps",
-)
 
-
-def _run_engine(engine: str, dataset):
-    strategy = (
-        GreedyDemandFirst() if engine == "fast" else ReferenceGreedyDemandFirst()
-    )
-    simulation = ConstellationSimulation(
-        GEN1_SHELLS[:1], dataset, strategy=strategy, engine=engine
-    )
+def _run(dataset):
+    """A greedy run from a reset telemetry state: (sim, counters, spans)."""
+    simulation = ConstellationSimulation(GEN1_SHELLS[:1], dataset)
     obs.reset()
     simulation.run(SimulationClock(**CLOCK))
     counters = dict(obs.registry().counter_items())
     span_names = [record.name for record in obs.tracer().records]
-    return counters, span_names
+    return simulation, counters, span_names
 
 
 class TestSimulationInstrumentation:
     def test_fast_and_reference_agree_on_correctness_counters(
         self, regional_dataset
     ):
-        fast_counters, fast_spans = _run_engine("fast", regional_dataset)
-        ref_counters, ref_spans = _run_engine("reference", regional_dataset)
-        for name in CORRECTNESS_COUNTERS:
-            assert fast_counters[name] == ref_counters[name], name
-        assert fast_counters["sim.steps"] == 2
-        for spans in (fast_spans, ref_spans):
-            assert "sim.run" in spans
-            assert "sim.step" in spans
-            assert "sim.visibility" in spans
-            assert "sim.assignment" in spans
+        """The counters :meth:`run` keeps equal the same sums over the
+        reference step's outcomes."""
+        simulation, counters, spans = _run(regional_dataset)
+        strategy = ReferenceGreedyDemandFirst()
+        expected = dict.fromkeys(
+            (
+                "sim.steps",
+                "sim.csr.nnz",
+                "sim.covered.cells",
+                "sim.allocated.total_mbps",
+            ),
+            0,
+        )
+        for time_s in SimulationClock(**CLOCK).times():
+            outcome, in_view, _ = reference_step(simulation, time_s, strategy)
+            expected["sim.steps"] += 1
+            expected["sim.csr.nnz"] += int(in_view.sum())
+            expected["sim.covered.cells"] += int(outcome.covered.sum())
+            expected["sim.allocated.total_mbps"] += float(
+                outcome.allocated_mbps.sum()
+            )
+        for name, value in expected.items():
+            assert counters[name] == value, name
+        assert counters["sim.steps"] == 2
+        for name in ("sim.run", "sim.step", "sim.visibility", "sim.assignment"):
+            assert name in spans
 
-    def test_run_span_carries_engine_and_gauges(self, regional_dataset):
-        # _run_engine resets before running, so records are this run's.
-        _run_engine("fast", regional_dataset)
+    def test_run_span_carries_sizes_and_gauges(self, regional_dataset):
+        # _run resets before running, so records are this run's.
+        _run(regional_dataset)
         run_span = next(
             r for r in obs.tracer().records if r.name == "sim.run"
         )
-        assert run_span.attrs["engine"] == "fast"
+        assert run_span.attrs == {
+            "cells": len(regional_dataset.cells),
+            "satellites": 1584,
+        }
         assert obs.registry().gauge("sim.cells").value == len(
             regional_dataset.cells
         )

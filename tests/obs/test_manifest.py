@@ -35,7 +35,6 @@ class TestRoundTrip:
             commit="abc123",
             params_hash="deadbeef",
             dataset_fingerprint="fp",
-            engine="fast",
             spans=[{"index": 0, "name": "runner.sweep", "parent": None,
                     "start_s": 0.0, "wall_s": 1.0, "cpu_s": 0.9}],
             metrics={"counters": {"sim.steps": 5}},
@@ -46,6 +45,17 @@ class TestRoundTrip:
         loaded = RunManifest.load(path)
         assert loaded == manifest
         assert json.loads(path.read_text())["schema"] == MANIFEST_SCHEMA
+
+    def test_load_ignores_keys_of_older_manifests(self, tmp_path):
+        """A manifest written while runs still recorded an ``engine``
+        loads; the key is dropped."""
+        payload = RunManifest(command="timeline", commit="abc123").as_dict()
+        payload["engine"] = "fast"
+        path = tmp_path / "old.manifest.json"
+        path.write_text(json.dumps(payload))
+        loaded = RunManifest.load(path)
+        assert loaded == RunManifest(command="timeline", commit="abc123")
+        assert "engine" not in loaded.as_dict()
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bogus.manifest.json"
@@ -64,13 +74,10 @@ class TestRoundTrip:
 
 class TestCollect:
     def test_collect_captures_global_spans_and_metrics(self):
-        with obs.span("sim.run", engine="fast"):
+        with obs.span("sim.run", cells=3):
             obs.registry().counter("sim.steps").inc(3)
-        manifest = collect_manifest(
-            command="simulate", argv=["simulate"], engine="fast"
-        )
+        manifest = collect_manifest(command="simulate", argv=["simulate"])
         assert manifest.command == "simulate"
-        assert manifest.engine == "fast"
         assert [s["name"] for s in manifest.spans] == ["sim.run"]
         assert manifest.metrics["counters"]["sim.steps"] == 3
         assert manifest.created_unix > 0

@@ -16,6 +16,8 @@ from repro.sim.assignment import (
 )
 from repro.spectrum.beams import BeamPlan
 
+from tests.conftest import assign_lists
+
 PLAN = BeamPlan(
     beams_per_satellite=6,
     max_beams_per_cell=3,
@@ -62,7 +64,7 @@ class TestAssignmentInvariants:
     @settings(max_examples=60, deadline=None)
     def test_beam_budget_respected(self, strategy_cls, instance):
         visible, demands, n_sats = instance
-        outcome = strategy_cls().assign(visible, demands, n_sats, PLAN)
+        outcome = assign_lists(strategy_cls(), visible, demands, n_sats, PLAN)
         assert np.all(outcome.beams_used >= 0)
         assert np.all(outcome.beams_used <= PLAN.beams_per_satellite)
 
@@ -70,7 +72,7 @@ class TestAssignmentInvariants:
     @settings(max_examples=60, deadline=None)
     def test_no_capacity_without_coverage(self, strategy_cls, instance):
         visible, demands, n_sats = instance
-        outcome = strategy_cls().assign(visible, demands, n_sats, PLAN)
+        outcome = assign_lists(strategy_cls(), visible, demands, n_sats, PLAN)
         uncovered = ~outcome.covered
         assert np.all(outcome.allocated_mbps[uncovered] == 0.0)
         assert np.all(outcome.serving_satellite[uncovered] == -1)
@@ -79,7 +81,7 @@ class TestAssignmentInvariants:
     @settings(max_examples=60, deadline=None)
     def test_serving_satellite_is_visible(self, strategy_cls, instance):
         visible, demands, n_sats = instance
-        outcome = strategy_cls().assign(visible, demands, n_sats, PLAN)
+        outcome = assign_lists(strategy_cls(), visible, demands, n_sats, PLAN)
         for cell, sat in enumerate(outcome.serving_satellite):
             if sat >= 0:
                 assert sat in visible[cell]
@@ -88,7 +90,7 @@ class TestAssignmentInvariants:
     @settings(max_examples=60, deadline=None)
     def test_blind_cells_never_covered(self, strategy_cls, instance):
         visible, demands, n_sats = instance
-        outcome = strategy_cls().assign(visible, demands, n_sats, PLAN)
+        outcome = assign_lists(strategy_cls(), visible, demands, n_sats, PLAN)
         for cell, sats in enumerate(visible):
             if sats.size == 0:
                 assert not outcome.covered[cell]
@@ -97,5 +99,5 @@ class TestAssignmentInvariants:
     @settings(max_examples=60, deadline=None)
     def test_total_beams_spent_bounded_by_supply(self, strategy_cls, instance):
         visible, demands, n_sats = instance
-        outcome = strategy_cls().assign(visible, demands, n_sats, PLAN)
+        outcome = assign_lists(strategy_cls(), visible, demands, n_sats, PLAN)
         assert outcome.beams_used.sum() <= n_sats * PLAN.beams_per_satellite

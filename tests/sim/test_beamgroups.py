@@ -10,7 +10,7 @@ from repro.sim.simulation import ConstellationSimulation
 from repro.orbits.shells import GEN1_SHELLS
 from repro.spectrum.beams import BeamPlan
 
-from tests.conftest import build_toy_dataset
+from tests.conftest import assign_lists
 
 PLAN = BeamPlan(
     beams_per_satellite=4,
@@ -62,7 +62,7 @@ class TestSpreadAssignment:
         strategy = SpreadAssignment([[0, 1, 2]])
         visible = [np.array([0]) for _ in range(3)]
         demands = np.array([BEAM / 4, BEAM / 4, BEAM / 4])
-        outcome = strategy.assign(visible, demands, 1, PLAN)
+        outcome = assign_lists(strategy, visible, demands, 1, PLAN)
         assert outcome.covered.all()
         assert outcome.beams_used[0] == 1
         assert np.allclose(outcome.allocated_mbps, demands)
@@ -71,7 +71,7 @@ class TestSpreadAssignment:
         strategy = SpreadAssignment([[0, 1]])
         visible = [np.array([0]), np.array([0])]
         demands = np.array([3 * BEAM, BEAM])  # over one beam's capacity
-        outcome = strategy.assign(visible, demands, 1, PLAN)
+        outcome = assign_lists(strategy, visible, demands, 1, PLAN)
         # Two beams granted (group needs 4 but per-cell cap is 2).
         capacity = 2 * BEAM
         assert outcome.allocated_mbps[0] == pytest.approx(capacity * 0.75)
@@ -81,7 +81,7 @@ class TestSpreadAssignment:
         strategy = SpreadAssignment([[0, 1]])
         visible = [np.array([0]), np.array([1])]  # no common satellite
         demands = np.array([1.0, 1.0])
-        outcome = strategy.assign(visible, demands, 2, PLAN)
+        outcome = assign_lists(strategy, visible, demands, 2, PLAN)
         assert not outcome.covered.any()
 
     def test_rejects_overlapping_groups(self):
@@ -114,19 +114,7 @@ class TestSimulatedBeamspread:
         # Both cover well, but the spread strategy touches fewer beams in
         # total (sum over satellites).
         assert spread_metrics.coverage_fraction().mean() > 0.9
-        narrow_total = sum(
-            narrow.strategy.assign(  # re-run one step for beam totals
-                narrow._visibility(0.0)[0],
-                narrow.demands_mbps,
-                narrow.satellite_count,
-                narrow.beam_plan,
-            ).beams_used.sum()
-            for _ in range(1)
-        )
-        spread_total = SpreadAssignment(groups).assign(
-            spread._visibility(0.0)[0],
-            spread.demands_mbps,
-            spread.satellite_count,
-            spread.beam_plan,
-        ).beams_used.sum()
+        # Re-run one step of each for beam totals.
+        narrow_total = narrow.step(0.0)[0].beams_used.sum()
+        spread_total = spread.step(0.0)[0].beams_used.sum()
         assert spread_total < narrow_total

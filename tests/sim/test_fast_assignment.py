@@ -1,10 +1,11 @@
-"""Differential tests: vectorized kernels vs the slow reference loops.
+"""Differential tests: the CSR kernels vs the slow reference loops.
 
-The fast CSR kernels in :mod:`repro.sim.assignment` must be
+The CSR kernels in :mod:`repro.sim.assignment` must be
 outcome-identical — every field, including tie-breaks — to the retained
-loops in ``tests/oracles/assignment.py`` on arbitrary visibility
-relations, and each strategy's ``assign`` / ``assign_csr`` entry points
-must agree with each other.
+list loops in ``tests/oracles/assignment.py`` on arbitrary visibility
+relations: one call at a time for the stateless strategies, and over
+sequences of steps, one stateful instance on each side, for
+:class:`~repro.sim.assignment.StickyGreedy`.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.assignment import (
     AssignmentOutcome,
+    BeamAssignmentStrategy,
     GreedyDemandFirst,
     ProportionalFair,
     StickyGreedy,
@@ -20,9 +22,11 @@ from repro.sim.assignment import (
 from repro.sim.visibility_index import CSRVisibility
 from repro.spectrum.beams import BeamPlan
 
+from tests.conftest import assign_lists
 from tests.oracles.assignment import (
     ReferenceGreedyDemandFirst,
     ReferenceProportionalFair,
+    ReferenceStickyGreedy,
 )
 
 PLAN = BeamPlan(
@@ -62,11 +66,8 @@ PAIRS = [
 ]
 
 
-@st.composite
-def scenario(draw):
-    """A random (visibility, demands, satellite_count) instance."""
-    n_cells = draw(st.integers(min_value=1, max_value=14))
-    n_sats = draw(st.integers(min_value=1, max_value=9))
+def _relation(draw, n_cells, n_sats):
+    """Random per-cell arrays of distinct, ascending satellite ids."""
     visible = []
     for _ in range(n_cells):
         count = draw(st.integers(min_value=0, max_value=n_sats))
@@ -79,7 +80,11 @@ def scenario(draw):
             )
         )
         visible.append(np.array(sorted(sats), dtype=int))
-    demands = np.array(
+    return visible
+
+
+def _demands(draw, n_cells):
+    return np.array(
         draw(
             st.lists(
                 st.floats(min_value=0.0, max_value=4.0 * PLAN.beam_capacity_mbps),
@@ -88,7 +93,33 @@ def scenario(draw):
             )
         )
     )
-    return visible, demands, n_sats
+
+
+@st.composite
+def scenario(draw):
+    """A random (visibility, demands, satellite_count) instance."""
+    n_cells = draw(st.integers(min_value=1, max_value=14))
+    n_sats = draw(st.integers(min_value=1, max_value=9))
+    return _relation(draw, n_cells, n_sats), _demands(draw, n_cells), n_sats
+
+
+@st.composite
+def step_sequence(draw):
+    """2-3 steps of (visibility, demands) over fixed cells and satellites."""
+    n_cells = draw(st.integers(min_value=1, max_value=14))
+    n_sats = draw(st.integers(min_value=1, max_value=9))
+    steps = [
+        (_relation(draw, n_cells, n_sats), _demands(draw, n_cells))
+        for _ in range(draw(st.integers(min_value=2, max_value=3)))
+    ]
+    return steps, n_sats
+
+
+def run_strategy(strategy, visible, demands, n_sats, plan) -> AssignmentOutcome:
+    """A library strategy through ``assign_csr``, an oracle through ``assign``."""
+    if isinstance(strategy, BeamAssignmentStrategy):
+        return assign_lists(strategy, visible, demands, n_sats, plan)
+    return strategy.assign(visible, demands, n_sats, plan)
 
 
 def assert_outcomes_identical(actual: AssignmentOutcome, expected: AssignmentOutcome):
@@ -109,17 +140,26 @@ class TestFastMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_identical_outcomes(self, fast_cls, reference_cls, instance):
         visible, demands, n_sats = instance
-        fast = fast_cls().assign(visible, demands, n_sats, PLAN)
+        fast = assign_lists(fast_cls(), visible, demands, n_sats, PLAN)
         reference = reference_cls().assign(visible, demands, n_sats, PLAN)
         assert_outcomes_identical(fast, reference)
 
-    @given(scenario())
+    @given(scenario(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_assign_csr_matches_assign(self, fast_cls, reference_cls, instance):
+    def test_assign_csr_matches_assign(
+        self, fast_cls, reference_cls, instance, data
+    ):
+        """``assign_csr`` after the CSR satellite filter equals the
+        reference ``assign`` after the per-cell list filter."""
         visible, demands, n_sats = instance
+        keep = np.array(
+            data.draw(st.lists(st.booleans(), min_size=n_sats, max_size=n_sats))
+        )
         csr = CSRVisibility.from_lists(visible, n_satellites=n_sats)
-        via_csr = fast_cls().assign_csr(csr, demands, PLAN)
-        via_lists = fast_cls().assign(visible, demands, n_sats, PLAN)
+        via_csr = fast_cls().assign_csr(csr.filter_satellites(keep), demands, PLAN)
+        via_lists = reference_cls().assign(
+            [sats[keep[sats]] for sats in visible], demands, n_sats, PLAN
+        )
         assert_outcomes_identical(via_csr, via_lists)
 
     @pytest.mark.parametrize("plan_index", range(len(SCARCE_PLANS)))
@@ -130,7 +170,7 @@ class TestFastMatchesReference:
     ):
         visible, demands, n_sats = instance
         plan = SCARCE_PLANS[plan_index]
-        fast = fast_cls().assign(visible, demands, n_sats, plan)
+        fast = assign_lists(fast_cls(), visible, demands, n_sats, plan)
         reference = reference_cls().assign(visible, demands, n_sats, plan)
         assert_outcomes_identical(fast, reference)
 
@@ -145,10 +185,26 @@ class TestFastMatchesReference:
         ]
         demands = np.full(n_cells, 4.0 * plan.beam_capacity_mbps)
         demands[::3] *= 0.5  # break symmetry in the scarcest-first order
-        fast = fast_cls().assign(visible, demands, n_sats, plan)
+        fast = assign_lists(fast_cls(), visible, demands, n_sats, plan)
         reference = reference_cls().assign(visible, demands, n_sats, plan)
         assert_outcomes_identical(fast, reference)
         assert fast.beams_used.sum() == n_sats  # all supply consumed
+
+
+class TestStickyMatchesReference:
+    """One stateful instance a side: step k's choices steer step k+1."""
+
+    @pytest.mark.parametrize("plan", [PLAN, *SCARCE_PLANS])
+    @given(step_sequence())
+    @settings(max_examples=80, deadline=None)
+    def test_identical_outcomes_over_steps(self, plan, instance):
+        steps, n_sats = instance
+        sticky, reference = StickyGreedy(), ReferenceStickyGreedy()
+        for visible, demands in steps:
+            assert_outcomes_identical(
+                assign_lists(sticky, visible, demands, n_sats, plan),
+                reference.assign(visible, demands, n_sats, plan),
+            )
 
 
 class TestOutcomeAccounting:
@@ -160,6 +216,7 @@ class TestOutcomeAccounting:
         StickyGreedy,
         ReferenceGreedyDemandFirst,
         ReferenceProportionalFair,
+        ReferenceStickyGreedy,
     ]
 
     @pytest.mark.parametrize("strategy_cls", STRATEGIES)
@@ -169,7 +226,7 @@ class TestOutcomeAccounting:
         self, strategy_cls, instance
     ):
         visible, demands, n_sats = instance
-        outcome = strategy_cls().assign(visible, demands, n_sats, PLAN)
+        outcome = run_strategy(strategy_cls(), visible, demands, n_sats, PLAN)
         assert outcome.allocated_mbps.sum() <= demands.sum() + 1e-9
         assert np.all(outcome.allocated_mbps <= demands + 1e-12)
 
@@ -180,7 +237,7 @@ class TestOutcomeAccounting:
         self, strategy_cls, instance
     ):
         visible, demands, n_sats = instance
-        outcome = strategy_cls().assign(visible, demands, n_sats, PLAN)
+        outcome = run_strategy(strategy_cls(), visible, demands, n_sats, PLAN)
         np.testing.assert_array_equal(
             outcome.allocated_mbps,
             np.minimum(outcome.capacity_pointed_mbps, demands),

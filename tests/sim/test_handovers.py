@@ -11,7 +11,7 @@ from repro.sim.metrics import CoverageMetrics
 from repro.sim.simulation import ConstellationSimulation
 from repro.spectrum.beams import BeamPlan
 
-from tests.conftest import build_toy_dataset
+from tests.conftest import assign_lists
 
 PLAN = BeamPlan(
     beams_per_satellite=4,
@@ -131,26 +131,32 @@ class TestStickyGreedy:
         strategy = StickyGreedy()
         visible = [np.array([0, 1])]
         demands = np.array([1.0])
-        first = strategy.assign(visible, demands, 2, PLAN)
-        second = strategy.assign(visible, demands, 2, PLAN)
+        first = assign_lists(strategy, visible, demands, 2, PLAN)
+        second = assign_lists(strategy, visible, demands, 2, PLAN)
         assert second.serving_satellite[0] == first.serving_satellite[0]
 
     def test_hands_over_when_previous_disappears(self):
         strategy = StickyGreedy()
-        first = strategy.assign([np.array([0, 1])], np.array([1.0]), 2, PLAN)
+        first = assign_lists(
+            strategy, [np.array([0, 1])], np.array([1.0]), 2, PLAN
+        )
         keeper = first.serving_satellite[0]
         other = 1 - keeper
-        second = strategy.assign(
-            [np.array([other])], np.array([1.0]), 2, PLAN
+        second = assign_lists(
+            strategy, [np.array([other])], np.array([1.0]), 2, PLAN
         )
         assert second.serving_satellite[0] == other
 
     def test_state_misalignment_rejected(self):
         strategy = StickyGreedy()
-        strategy.assign([np.array([0])], np.array([1.0]), 1, PLAN)
+        assign_lists(strategy, [np.array([0])], np.array([1.0]), 1, PLAN)
         with pytest.raises(SimulationError):
-            strategy.assign(
-                [np.array([0]), np.array([0])], np.array([1.0, 1.0]), 1, PLAN
+            assign_lists(
+                strategy,
+                [np.array([0]), np.array([0])],
+                np.array([1.0, 1.0]),
+                1,
+                PLAN,
             )
 
     def test_reduces_handovers_in_simulation(self, regional_dataset):

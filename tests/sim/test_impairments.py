@@ -10,9 +10,10 @@ from repro.sim.engine import SimulationClock
 from repro.sim.impairments import (
     RainFade,
     SatelliteOutages,
-    apply_impairments,
+    apply_impairments_csr,
 )
 from repro.sim.simulation import ConstellationSimulation
+from repro.sim.visibility_index import CSRVisibility
 
 from tests.conftest import build_toy_dataset
 
@@ -67,14 +68,17 @@ class TestComposition:
             SatelliteOutages(outage_fraction=0.5, seed=2),
             RainFade(LatLon(0.0, 0.0), radius_km=200.0, efficiency_factor=0.5),
         ]
-        visible = [np.arange(10)]
+        visibility = CSRVisibility.from_lists([np.arange(10)], n_satellites=10)
         demands = np.array([100.0])
         positions = [LatLon(0.0, 0.0)]
-        filtered, scaled = apply_impairments(
-            impairments, visible, demands, positions, 10, np.random.default_rng(0)
+        filtered, scaled = apply_impairments_csr(
+            impairments, visibility, demands, positions, np.random.default_rng(0)
         )
-        assert filtered[0].size == 5
+        keep = impairments[0].filter_satellites(10, np.random.default_rng(0))
+        np.testing.assert_array_equal(filtered.cell(0), np.flatnonzero(keep))
+        assert filtered.nnz == 5 and filtered.n_satellites == 10
         assert scaled[0] == pytest.approx(200.0)
+        assert demands[0] == 100.0  # the input vector is not scaled in place
 
 
 class TestSimulationWithImpairments:

@@ -12,6 +12,7 @@ from repro.sim.engine import SimulationClock
 from repro.sim.simulation import ConstellationSimulation
 
 from tests.conftest import build_toy_dataset
+from tests.oracles.simulation import reference_visibility
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ class TestStepEngine:
     def test_cell_positions_built_lazily(self, regional_dataset):
         sim = ConstellationSimulation(GEN1_SHELLS[:1], regional_dataset)
         assert sim._cell_positions_cache is None
-        sim.visibility(0.0)  # the array path needs no per-cell objects
+        sim.step(0.0)  # the array path needs no per-cell objects
         assert sim._cell_positions_cache is None
         positions = sim._cell_positions
         assert len(positions) == len(regional_dataset.cells)
@@ -126,8 +127,10 @@ class TestGeometry:
         assert np.allclose(radii, 6371.0088, atol=0.01)
 
     def test_visibility_counts_reasonable(self, regional_sim):
-        visible, lats = regional_sim._visibility(0.0)
-        counts = np.array([v.size for v in visible])
+        csr, lats = regional_sim.visibility_index.query(0.0)
+        counts = csr.counts()
+        reference, _ = reference_visibility(regional_sim, 0.0)
+        assert counts.tolist() == [v.size for v in reference]
         # Shell 1 alone gives on the order of 5-20 satellites in view.
         assert counts.mean() > 2
         assert counts.max() < 60

@@ -1,10 +1,11 @@
-"""Differential tests for the fast visibility path.
+"""Differential tests for the visibility index.
 
 The precomputed :class:`VisibilityIndex` (KD-trees over chunks of the
 static cells, satellites propagated by rotating cached epoch geometry) must
 produce exactly the same per-cell visibility relation as the original
-per-step KD-tree rebuild (:meth:`ConstellationSimulation._visibility`),
-at any time, with or without the bent-pipe gateway mask.
+per-step KD-tree rebuild (``reference_visibility`` in
+``tests/oracles/simulation.py``), at any time, with or without the
+bent-pipe gateway mask.
 """
 
 import numpy as np
@@ -23,6 +24,8 @@ from repro.sim.visibility_index import (
     group_pairs,
 )
 
+from tests.oracles.simulation import reference_visibility
+
 
 @pytest.fixture(scope="module")
 def regional_sim(regional_dataset):
@@ -37,9 +40,9 @@ def gateway_sim(regional_dataset):
 
 
 def assert_matches_reference(sim, time_s):
-    """Fast index output == reference rebuild output, cell for cell."""
+    """Index output == reference rebuild output, cell for cell."""
     csr, fast_lats = sim.visibility_index.query(time_s)
-    reference, reference_lats = sim._visibility(time_s)
+    reference, reference_lats = reference_visibility(sim, time_s)
     assert csr.n_cells == len(reference)
     for cell_index, expected in enumerate(reference):
         np.testing.assert_array_equal(csr.cell(cell_index), expected)
@@ -59,8 +62,8 @@ class TestCSRVisibility:
         csr = CSRVisibility.from_lists(lists, n_satellites=4)
         assert csr.n_cells == 3
         assert csr.nnz == 5
-        for rebuilt, original in zip(csr.to_lists(), lists):
-            np.testing.assert_array_equal(rebuilt, original)
+        for cell_index, original in enumerate(lists):
+            np.testing.assert_array_equal(csr.cell(cell_index), original)
 
     def test_cell_and_counts(self):
         csr = CSRVisibility.from_lists(self._relation(), n_satellites=4)
@@ -73,8 +76,8 @@ class TestCSRVisibility:
         keep = np.array([True, False, True, False])
         filtered = csr.filter_satellites(keep)
         expected = [sats[keep[sats]] for sats in lists]
-        for rebuilt, original in zip(filtered.to_lists(), expected):
-            np.testing.assert_array_equal(rebuilt, original)
+        for cell_index, original in enumerate(expected):
+            np.testing.assert_array_equal(filtered.cell(cell_index), original)
         assert filtered.n_satellites == csr.n_satellites
 
     def test_rejects_misshapen_indptr(self):
@@ -117,26 +120,6 @@ class TestAgainstReference:
     @settings(max_examples=20, deadline=None)
     def test_matches_reference_at_random_times(self, regional_sim, time_s):
         assert_matches_reference(regional_sim, time_s)
-
-    def test_simulation_visibility_uses_selected_engine(
-        self, regional_dataset
-    ):
-        fast = ConstellationSimulation(
-            GEN1_SHELLS[:1], regional_dataset, engine="fast"
-        )
-        reference = ConstellationSimulation(
-            GEN1_SHELLS[:1], regional_dataset, engine="reference"
-        )
-        fast_lists, _ = fast.visibility(120.0)
-        reference_lists, _ = reference.visibility(120.0)
-        for a, b in zip(fast_lists, reference_lists):
-            np.testing.assert_array_equal(a, b)
-
-    def test_rejects_unknown_engine(self, regional_dataset):
-        with pytest.raises(SimulationError):
-            ConstellationSimulation(
-                GEN1_SHELLS[:1], regional_dataset, engine="warp"
-            )
 
 
 class TestIndexValidation:
@@ -439,7 +422,7 @@ class TestChunkEdges:
         assert len(index._chunks) == -(-n_cells // chunk_cells)
         for time_s in (0.0, 300.0, 3600.0):
             csr, lats = index.query(time_s)
-            reference, reference_lats = sim._visibility(time_s)
+            reference, reference_lats = reference_visibility(sim, time_s)
             assert csr.n_cells == len(reference) == n_cells
             assert csr.indices.dtype == np.int64
             for cell_index, expected in enumerate(reference):

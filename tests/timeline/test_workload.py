@@ -17,6 +17,8 @@ from repro.timeline import (
 )
 
 from tests.conftest import build_toy_dataset
+from tests.oracles.assignment import ReferenceGreedyDemandFirst
+from tests.oracles.simulation import reference_run
 
 SHELLS = list(GEN1_SHELLS[:1])
 
@@ -51,24 +53,24 @@ class TestConfig:
 
 
 class TestFlatIdentity:
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_flat_profile_reproduces_static_pipeline(self, dataset, engine):
-        """The differential: flat profile + no churn == static run."""
-        config = TimelineConfig(
-            duration_s=600.0, step_s=30.0, engine=engine
-        )
+    @pytest.mark.parametrize("static_path", ["fast", "reference"])
+    def test_flat_profile_reproduces_static_pipeline(self, dataset, static_path):
+        """The differential: flat profile + no churn == static run, the
+        static run made by :meth:`ConstellationSimulation.run` ("fast")
+        or by the reference step (``tests/oracles/simulation.py``)."""
+        config = TimelineConfig(duration_s=600.0, step_s=30.0)
         result = run_timeline(dataset, SHELLS, config)
         assert result.flat_identical is True
 
         static = ConstellationSimulation(
-            SHELLS,
-            dataset,
-            oversubscription=config.oversubscription,
-            engine=engine,
+            SHELLS, dataset, oversubscription=config.oversubscription
         )
-        report = static.report(
-            static.run(SimulationClock(duration_s=600.0, step_s=30.0))
-        )
+        clock = SimulationClock(duration_s=600.0, step_s=30.0)
+        if static_path == "fast":
+            metrics = static.run(clock)
+        else:
+            metrics = reference_run(static, clock, ReferenceGreedyDemandFirst())
+        report = static.report(metrics)
         assert result.report == report  # field-for-field, floats exact
 
     def test_flat_per_step_demand_is_bitwise_static(self, dataset):
@@ -79,13 +81,6 @@ class TestFlatIdentity:
         )
         expected = float(static.demands_mbps.sum())
         assert all(value == expected for value in result.demand_mbps)
-
-    def test_verification_can_be_forced_off(self, dataset):
-        config = TimelineConfig(
-            duration_s=120.0, step_s=30.0, verify_identity=False
-        )
-        result = run_timeline(dataset, SHELLS, config)
-        assert result.flat_identical is None
 
     def test_diurnal_run_skips_verification_by_default(self, dataset):
         config = TimelineConfig(

@@ -8,13 +8,13 @@ serve, given a terrestrial gateway deployment?
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.demand.dataset import DemandDataset
 from repro.errors import GeometryError
+from repro.geo.coords import LatLon, haversine_km
 from repro.orbits.gateways import (
     DEFAULT_CONUS_GATEWAYS,
     GATEWAY_MIN_ELEVATION_DEG,
@@ -22,7 +22,6 @@ from repro.orbits.gateways import (
     bent_pipe_reach_km,
 )
 from repro.orbits.visibility import STARLINK_MIN_ELEVATION_DEG
-from repro.units import EARTH_RADIUS_KM
 
 
 class BentPipeAnalysis:
@@ -44,30 +43,14 @@ class BentPipeAnalysis:
         self.reach_km = bent_pipe_reach_km(
             altitude_km, ut_elevation_deg, gw_elevation_deg
         )
-        self._centers = [cell.center for cell in dataset.cells]
-        self._cell_lat = np.radians(
-            np.array([c.lat_deg for c in self._centers])
-        )
-        self._cell_lon = np.radians(
-            np.array([c.lon_deg for c in self._centers])
-        )
-
-    def _distances_to(self, site: GatewaySite) -> np.ndarray:
-        """Vectorized haversine from every cell to one site, km."""
-        lat = math.radians(site.position.lat_deg)
-        lon = math.radians(site.position.lon_deg)
-        h = (
-            np.sin((self._cell_lat - lat) / 2.0) ** 2
-            + math.cos(lat)
-            * np.cos(self._cell_lat)
-            * np.sin((self._cell_lon - lon) / 2.0) ** 2
-        )
-        return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+        columns = dataset.to_columns()
+        self._cells = LatLon(columns["center_lat"], columns["center_lon"])
 
     def nearest_gateway_km(self) -> np.ndarray:
         """Distance from each cell to its closest gateway, km."""
         distances = np.stack(
-            [self._distances_to(g) for g in self.gateways], axis=1
+            [haversine_km(self._cells, g.position) for g in self.gateways],
+            axis=1,
         )
         return distances.min(axis=1)
 
@@ -100,10 +83,10 @@ class BentPipeAnalysis:
         all candidates together cannot cover every cell.
         """
         candidates = list(candidates or self.gateways)
-        uncovered = set(range(len(self._centers)))
+        uncovered = set(range(self.dataset.n_cells))
         cover_sets = []
         for gateway in candidates:
-            within = self._distances_to(gateway) <= self.reach_km
+            within = haversine_km(self._cells, gateway.position) <= self.reach_km
             cover_sets.append(set(np.flatnonzero(within).tolist()))
         union = set().union(*cover_sets) if cover_sets else set()
         if uncovered - union:

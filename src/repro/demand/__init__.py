@@ -16,7 +16,6 @@ from repro.demand.dataset import DemandDataset
 from repro.demand.growth import BassDiffusion, GrowthAnalysis
 from repro.demand.quantiles import QuantileCurve
 from repro.demand.regions import StudyRegion, andes_highlands, northern_archipelago
-from repro.demand.samples import load_sample_region
 from repro.demand.served import DefectionAnalysis, ServedLayerConfig
 from repro.demand.synthetic import (
     SyntheticMapConfig,
@@ -33,7 +32,6 @@ __all__ = [
     "StudyRegion",
     "andes_highlands",
     "northern_archipelago",
-    "load_sample_region",
     "DefectionAnalysis",
     "ServedLayerConfig",
     "SyntheticMapConfig",

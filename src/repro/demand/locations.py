@@ -1,4 +1,4 @@
-"""Per-location records: the FCC Broadband Data Collection's granularity.
+"""Per-location tables: the FCC Broadband Data Collection's granularity.
 
 The library's canonical demand representation is per-cell counts (all the
 paper's math consumes), but the FCC's raw data is one row per broadband
@@ -18,13 +18,11 @@ structure-of-arrays with one NumPy column per attribute:
 * :meth:`LocationTable.to_npz` / :meth:`LocationTable.from_npz` persist
   the columns directly for fast reload.
 
-:class:`LocationRecord` is one location as a frozen object, for regional
-studies: :meth:`LocationTable.to_records` / :meth:`LocationTable.from_records`
-convert, and :func:`write_locations_csv` / :func:`read_locations_csv` read
-and write the same CSV schema byte for byte. The record-at-a-time explode
-and bin that the columnar path replaced live on as differential oracles in
-``tests/oracles/explode.py``; ``perfbench/`` measures the columnar path at
-national scale (see docs/PERFORMANCE.md).
+The record-at-a-time versions the columnar path replaced (one frozen
+record per location, its explode and bin, and its CSV reader and writer)
+live on as differential oracles in ``tests/oracles/explode.py``;
+``perfbench/`` measures the columnar path at national scale (see
+docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -34,19 +32,17 @@ import enum
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import obs
 from repro.demand.dataset import DemandDataset
 from repro.errors import DatasetError
-from repro.geo.coords import LatLon
-from repro.geo.hexgrid import CellId, HexGrid, pack_cell_keys
+from repro.geo.hexgrid import CellId, HexGrid
 from repro.spectrum.regulatory import (
     RELIABLE_BROADBAND_DOWNLINK_MBPS,
     RELIABLE_BROADBAND_UPLINK_MBPS,
-    is_reliable_broadband,
 )
 
 
@@ -59,37 +55,6 @@ class TechnologyCode(enum.IntEnum):
     FIBER = 50
     FIXED_WIRELESS_UNLICENSED = 70
     GEO_SATELLITE = 60
-
-
-@dataclass(frozen=True)
-class LocationRecord:
-    """One broadband serviceable location with its best reported offer."""
-
-    location_id: int
-    position: LatLon
-    cell: CellId
-    county_id: int
-    technology: TechnologyCode
-    max_download_mbps: float
-    max_upload_mbps: float
-
-    def __post_init__(self) -> None:
-        if self.max_download_mbps < 0.0 or self.max_upload_mbps < 0.0:
-            raise DatasetError(
-                f"location {self.location_id}: negative speeds"
-            )
-
-    @property
-    def is_served(self) -> bool:
-        """Whether the best offer meets the reliable-broadband bar."""
-        return is_reliable_broadband(self.max_download_mbps, self.max_upload_mbps)
-
-    @property
-    def is_unserved(self) -> bool:
-        """No offer at all, or one below 25/3 (the FCC 'unserved' bar)."""
-        return bool(
-            _unserved_mask(self.max_download_mbps, self.max_upload_mbps)
-        )
 
 
 def _served_mask(downlink_mbps, uplink_mbps):
@@ -196,71 +161,6 @@ _LOCATION_HEADERS = [
 ]
 
 
-def write_locations_csv(
-    records: Iterable[LocationRecord], path: Union[str, Path]
-) -> Path:
-    """Write records in a BDC-like CSV schema."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_LOCATION_HEADERS)
-        for record in records:
-            writer.writerow(
-                [
-                    record.location_id,
-                    f"{record.position.lat_deg:.6f}",
-                    f"{record.position.lon_deg:.6f}",
-                    record.cell.token,
-                    record.county_id,
-                    int(record.technology),
-                    f"{record.max_download_mbps:.1f}",
-                    f"{record.max_upload_mbps:.1f}",
-                ]
-            )
-    return target
-
-
-def read_locations_csv(path: Union[str, Path]) -> List[LocationRecord]:
-    """Read records written by :func:`write_locations_csv`."""
-    file_path = Path(path)
-    if not file_path.exists():
-        raise DatasetError(f"no such file: {file_path}")
-    records = []
-    with file_path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != _LOCATION_HEADERS:
-            raise DatasetError(
-                f"{file_path}: unexpected headers {reader.fieldnames}"
-            )
-        for row in reader:
-            try:
-                technology = TechnologyCode(int(row["technology"]))
-            except ValueError as exc:
-                raise DatasetError(
-                    f"{file_path}: location {row['location_id']}: "
-                    f"unknown technology code {row['technology']!r}"
-                ) from exc
-            records.append(
-                LocationRecord(
-                    location_id=int(row["location_id"]),
-                    position=LatLon(
-                        float(row["lat_deg"]), float(row["lon_deg"])
-                    ),
-                    cell=CellId.from_token(row["cell_token"]),
-                    county_id=int(row["county_id"]),
-                    technology=technology,
-                    max_download_mbps=float(row["max_download_mbps"]),
-                    max_upload_mbps=float(row["max_upload_mbps"]),
-                )
-            )
-    return records
-
-
-# ---------------------------------------------------------------------------
-# Columnar fast path
-# ---------------------------------------------------------------------------
-
 #: NPZ column names and dtypes, in schema order (mirrors
 #: ``_LOCATION_HEADERS``): what a table holds and :meth:`to_npz` writes.
 _TABLE_DTYPES = {
@@ -284,10 +184,9 @@ _BIN_CHUNK_ROWS = 131_072
 class LocationTable:
     """Structure-of-arrays over broadband serviceable locations.
 
-    One NumPy column per :class:`LocationRecord` attribute; cells are the
-    packed uint64 keys of :attr:`~repro.geo.hexgrid.CellId.key`. Converts
-    losslessly to and from record lists, so the columnar pipeline and the
-    scalar reference interoperate freely.
+    One NumPy column per field of the CSV schema (:data:`_TABLE_DTYPES`);
+    cells are the packed uint64 keys of
+    :attr:`~repro.geo.hexgrid.CellId.key`.
     """
 
     location_id: np.ndarray
@@ -331,65 +230,12 @@ class LocationTable:
     # -- masks --------------------------------------------------------------
 
     def is_served(self) -> np.ndarray:
-        """Vectorized :attr:`LocationRecord.is_served` (100/20 bar)."""
+        """Per row: the best offer meets the 100/20 reliable-broadband bar."""
         return _served_mask(self.max_download_mbps, self.max_upload_mbps)
 
     def is_unserved(self) -> np.ndarray:
-        """Vectorized :attr:`LocationRecord.is_unserved` (FCC 25/3 bar)."""
+        """Per row: no offer, or one below 25/3 (the FCC 'unserved' bar)."""
         return _unserved_mask(self.max_download_mbps, self.max_upload_mbps)
-
-    # -- record interop ------------------------------------------------------
-
-    @classmethod
-    def from_records(cls, records: Iterable[LocationRecord]) -> "LocationTable":
-        """Columnarize a record list (lossless)."""
-        records = list(records)
-        return cls(
-            location_id=np.array(
-                [r.location_id for r in records], dtype=np.int64
-            ),
-            lat_deg=np.array(
-                [r.position.lat_deg for r in records], dtype=float
-            ),
-            lon_deg=np.array(
-                [r.position.lon_deg for r in records], dtype=float
-            ),
-            cell_key=np.array([r.cell.key for r in records], dtype=np.uint64),
-            county_id=np.array([r.county_id for r in records], dtype=np.int64),
-            technology=np.array(
-                [int(r.technology) for r in records], dtype=np.int16
-            ),
-            max_download_mbps=np.array(
-                [r.max_download_mbps for r in records], dtype=float
-            ),
-            max_upload_mbps=np.array(
-                [r.max_upload_mbps for r in records], dtype=float
-            ),
-        )
-
-    def to_records(self) -> List[LocationRecord]:
-        """Materialize one :class:`LocationRecord` per row (lossless)."""
-        cells: Dict[int, CellId] = {}
-        records = []
-        for i in range(len(self)):
-            key = int(self.cell_key[i])
-            cell = cells.get(key)
-            if cell is None:
-                cell = cells[key] = CellId.from_key(key)
-            records.append(
-                LocationRecord(
-                    location_id=int(self.location_id[i]),
-                    position=LatLon(
-                        float(self.lat_deg[i]), float(self.lon_deg[i])
-                    ),
-                    cell=cell,
-                    county_id=int(self.county_id[i]),
-                    technology=TechnologyCode(int(self.technology[i])),
-                    max_download_mbps=float(self.max_download_mbps[i]),
-                    max_upload_mbps=float(self.max_upload_mbps[i]),
-                )
-            )
-        return records
 
     def equals(self, other: "LocationTable") -> bool:
         """Exact column-wise equality with another table."""
@@ -711,10 +557,11 @@ def write_table_csv(
     path: Union[str, Path],
     chunk_size: int = 200_000,
 ) -> Path:
-    """Chunked CSV writer, byte-identical to :func:`write_locations_csv`.
+    """Write a table in the BDC-like CSV schema, in chunks.
 
     Streams ``chunk_size`` rows at a time (bounded memory at national
     scale) and formats from columns — no intermediate record objects.
+    Coordinates are written to 6 decimals and speeds to 1.
     """
     if chunk_size <= 0:
         raise DatasetError(f"chunk size must be positive: {chunk_size!r}")
@@ -878,10 +725,9 @@ def read_table_csv(
 ) -> LocationTable:
     """Chunked CSV reader for the BDC-like schema, returning a table.
 
-    Accepts exactly the files :func:`write_locations_csv` /
-    :func:`write_table_csv` produce; parses ``chunk_size`` rows at a time
-    into columns so the peak overhead is one chunk of strings, not a full
-    record list. Anything else is a :class:`DatasetError` naming the file
+    Accepts exactly the files :func:`write_table_csv` produces; parses
+    ``chunk_size`` rows at a time into columns so the peak overhead is
+    one chunk of strings, not a full record list. Anything else is a :class:`DatasetError` naming the file
     (and the line, for a bad row): headers other than the schema's, a row
     without exactly its eight fields, a field that does not parse, a
     latitude outside [-90, 90] or longitude outside [-180, 180] (NaN and

@@ -3,26 +3,22 @@
 Not a paper figure — an infrastructure experiment in the spirit of the
 validation module: build the :mod:`repro.serve` index over a regional
 slice of the dataset, sweep a few scenarios through the engine's
-epoch-swap path, and check the service's aggregate and sampled point
-answers against the batch pipeline's scalar reference at each epoch.
+epoch-swap path, and check the service against the batch pipeline's
+:class:`~repro.core.oversubscription.OversubscriptionAnalysis` at each
+epoch: the aggregate stats, and one point answer per location of the
+region, whose ``served`` flags must sum to the batch's served locations
+and whose fully served cells must be the batch's count.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-import numpy as np
-
 from repro.core.model import StarlinkDivideModel
 from repro.core.oversubscription import OversubscriptionAnalysis
 from repro.demand.locations import explode_cells_table
 from repro.experiments.registry import ExperimentResult
-from repro.serve import (
-    QueryEngine,
-    ScenarioParams,
-    build_index,
-    reference_point_answer,
-)
+from repro.serve import QueryEngine, ScenarioParams, build_index
 from repro.viz.tables import format_table
 
 #: Oversubscription ratios swept through the engine's update path.
@@ -31,9 +27,6 @@ SCENARIOS = (10.0, 20.0, 35.0)
 #: The Appalachian subset the simulation tests use — big enough to span
 #: many cells and counties, small enough to explode in milliseconds.
 REGION_BBOX = (37.0, 38.5, -83.5, -81.0)
-
-#: Point queries differentially checked per scenario.
-SAMPLE_POINTS = 8
 
 
 def run(model: StarlinkDivideModel) -> ExperimentResult:
@@ -49,34 +42,34 @@ def run(model: StarlinkDivideModel) -> ExperimentResult:
             target_shard_rows=4096,
         )
     )
-    rng = np.random.default_rng(7)
-    sample_ids = rng.choice(
-        table.location_id, size=min(SAMPLE_POINTS, len(table)), replace=False
-    )
     rows = []
     all_equal = True
     for epoch_target, ratio in enumerate(SCENARIOS):
-        params = ScenarioParams(oversubscription=ratio)
         if epoch_target:
-            asyncio.run(engine.update_params(params))
+            asyncio.run(
+                engine.update_params(ScenarioParams(oversubscription=ratio))
+            )
         stats = engine.stats()
         batch = analysis.stats(ratio)
-        point_mismatches = 0
-        answers = engine.point_by_id(sample_ids)
-        for i, location_id in enumerate(sample_ids):
-            reference = reference_point_answer(
-                table, dataset, int(location_id), params=params
-            )
-            got = {
-                key: (value[i] if isinstance(value, list) else value)
-                for key, value in answers.items()
-                if key not in ("epoch", "scenario_id")
+        answers = engine.point_by_id(table.location_id)
+        point_served = sum(answers["served"])
+        point_full_cells = len(
+            {
+                cell
+                for cell, full in zip(
+                    answers["cell"], answers["cell_fully_served"]
+                )
+                if full
             }
-            point_mismatches += int(got != reference)
+        )
         equal = (
-            stats["locations_served"] == batch.locations_served
-            and stats["cells_fully_served"] == batch.cells_fully_served
-            and point_mismatches == 0
+            stats["locations_served"]
+            == point_served
+            == batch.locations_served
+        ) and (
+            stats["cells_fully_served"]
+            == point_full_cells
+            == batch.cells_fully_served
         )
         all_equal = all_equal and equal
         rows.append(
@@ -85,9 +78,10 @@ def run(model: StarlinkDivideModel) -> ExperimentResult:
                 stats["epoch"],
                 batch.locations_served,
                 stats["locations_served"],
+                point_served,
                 batch.cells_fully_served,
                 stats["cells_fully_served"],
-                point_mismatches,
+                point_full_cells,
                 "yes" if equal else "NO",
             )
         )
@@ -96,9 +90,10 @@ def run(model: StarlinkDivideModel) -> ExperimentResult:
         "epoch",
         "batch_served",
         "serve_served",
+        "point_served",
         "batch_full_cells",
         "serve_full_cells",
-        "point_mismatches",
+        "point_full_cells",
         "equal",
     )
     text = format_table(

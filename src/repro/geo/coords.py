@@ -8,7 +8,9 @@ radians. Distances are in km on the mean-radius sphere.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Union
+
+import numpy as np
 
 from repro.errors import GeometryError
 from repro.units import EARTH_RADIUS_KM
@@ -40,18 +42,22 @@ def normalize_lon(lon_deg: float) -> float:
     return lon - 180.0
 
 
-def haversine_km(a: LatLon, b: LatLon) -> float:
-    """Great-circle distance between two points, in km."""
-    phi1 = math.radians(a.lat_deg)
-    phi2 = math.radians(b.lat_deg)
-    dphi = phi2 - phi1
-    dlam = math.radians(normalize_lon(b.lon_deg - a.lon_deg))
-    sin_half_dphi = math.sin(dphi / 2.0)
-    sin_half_dlam = math.sin(dlam / 2.0)
-    h = sin_half_dphi**2 + math.cos(phi1) * math.cos(phi2) * sin_half_dlam**2
+def haversine_km(a: LatLon, b: LatLon) -> Union[float, np.ndarray]:
+    """Great-circle distance between two points, in km.
+
+    Coordinates may be NumPy arrays, which broadcast as NumPy does:
+    ``haversine_km(LatLon(lats, lons), site)`` is every point's distance
+    to ``site``. A NaN coordinate gives a NaN distance.
+    """
+    phi1 = np.radians(a.lat_deg)
+    phi2 = np.radians(b.lat_deg)
+    dlam = np.radians(a.lon_deg) - np.radians(b.lon_deg)
+    h = (
+        np.sin((phi1 - phi2) / 2.0) ** 2
+        + np.cos(phi2) * np.cos(phi1) * np.sin(dlam / 2.0) ** 2
+    )
     # Clamp to guard against floating-point drift outside [0, 1].
-    h = min(1.0, max(0.0, h))
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
 def bearing_deg(a: LatLon, b: LatLon) -> float:

@@ -11,17 +11,12 @@ precomputed into an immutable epoch-stamped snapshot
 readers never observe a half-updated index.
 
 Every answer is byte-equal to the batch pipeline — the differential suite
-in ``tests/serve`` proves it against :mod:`repro.serve.reference`, a
+in ``tests/serve`` proves it against ``tests/oracles/serve.py``, a
 deliberately independent record-at-a-time implementation.
 """
 
 from repro.serve.engine import QueryEngine
 from repro.serve.index import ServeIndex, build_index
-from repro.serve.reference import (
-    reference_cell_answer,
-    reference_county_answer,
-    reference_point_answer,
-)
 from repro.serve.scenario import ScenarioParams, serve_plans
 from repro.serve.server import ServeClient, ServeServer
 from repro.serve.shards import Shard, ShardStore
@@ -36,9 +31,6 @@ __all__ = [
     "Shard",
     "ShardStore",
     "build_index",
-    "reference_cell_answer",
-    "reference_county_answer",
-    "reference_point_answer",
     "serve_plans",
     "tile_aggregates",
     "tiles_to_geojson",

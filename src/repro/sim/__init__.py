@@ -9,6 +9,10 @@ cells each step, and measures what the analytical model predicts:
 * continuous coverage (every demand cell sees a satellite at every step),
 * achieved per-cell capacity vs the servability model of
   :mod:`repro.core.oversubscription`.
+
+Per-step output for users is the timeline JSONL of :mod:`repro.timeline`.
+The reference step, the list-based strategy loops and the trace recorder
+the parity tests compare against live in ``tests/oracles/``.
 """
 
 from repro.sim.assignment import (
@@ -18,19 +22,10 @@ from repro.sim.assignment import (
     ProportionalFair,
     StickyGreedy,
 )
-from repro.sim.beamgroups import SpreadAssignment, build_beam_groups
 from repro.sim.engine import SimulationClock
 from repro.sim.impairments import Impairment, RainFade, SatelliteOutages
 from repro.sim.metrics import CoverageMetrics, SimulationReport
 from repro.sim.simulation import ConstellationSimulation
-from repro.sim.trace import (
-    SimulationTrace,
-    read_trace_csv,
-    read_trace_jsonl,
-    record_trace,
-    write_trace_csv,
-    write_trace_jsonl,
-)
 from repro.sim.visibility_index import CSRVisibility, VisibilityIndex
 
 __all__ = [
@@ -41,8 +36,6 @@ __all__ = [
     "GreedyDemandFirst",
     "ProportionalFair",
     "StickyGreedy",
-    "SpreadAssignment",
-    "build_beam_groups",
     "SimulationClock",
     "Impairment",
     "RainFade",
@@ -50,10 +43,4 @@ __all__ = [
     "CoverageMetrics",
     "SimulationReport",
     "ConstellationSimulation",
-    "SimulationTrace",
-    "read_trace_csv",
-    "read_trace_jsonl",
-    "record_trace",
-    "write_trace_csv",
-    "write_trace_jsonl",
 ]

@@ -20,6 +20,7 @@ in order.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,9 +40,13 @@ class Impairment(abc.ABC):
         return None
 
     def scale_demands(
-        self, demands_mbps: np.ndarray, cell_positions: Sequence[LatLon]
+        self, demands_mbps: np.ndarray, lat_deg: np.ndarray, lon_deg: np.ndarray
     ) -> np.ndarray:
-        """Return (possibly scaled) per-cell provisioned demands."""
+        """Return (possibly scaled) per-cell provisioned demands.
+
+        ``lat_deg`` and ``lon_deg`` are the cell centres, aligned with
+        ``demands_mbps``.
+        """
         return demands_mbps
 
 
@@ -82,39 +87,49 @@ class RainFade(Impairment):
     efficiency_factor: float
 
     def __post_init__(self) -> None:
-        if self.radius_km <= 0.0:
-            raise SimulationError(f"radius must be positive: {self.radius_km!r}")
+        if not (math.isfinite(self.radius_km) and self.radius_km > 0.0):
+            raise SimulationError(
+                f"radius must be finite and positive: {self.radius_km!r}"
+            )
+        lat, lon = self.center
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            raise SimulationError(
+                f"centre outside [-90, 90] x [-180, 180]: {self.center!r}"
+            )
         if not 0.0 < self.efficiency_factor <= 1.0:
             raise SimulationError(
                 f"efficiency factor out of (0, 1]: {self.efficiency_factor!r}"
             )
 
     def scale_demands(
-        self, demands_mbps: np.ndarray, cell_positions: Sequence[LatLon]
+        self, demands_mbps: np.ndarray, lat_deg: np.ndarray, lon_deg: np.ndarray
     ) -> np.ndarray:
         if self.efficiency_factor == 1.0:
             return demands_mbps
-        scaled = demands_mbps.copy()
-        for index, position in enumerate(cell_positions):
-            if haversine_km(position, self.center) <= self.radius_km:
-                # Lower efficiency means more spectrum-time per bit: model
-                # as inflated capacity need for the same user demand.
-                scaled[index] = demands_mbps[index] / self.efficiency_factor
-        return scaled
+        inside = haversine_km(LatLon(lat_deg, lon_deg), self.center) <= (
+            self.radius_km
+        )
+        # Lower efficiency means more spectrum-time per bit: model as
+        # inflated capacity need for the same user demand.
+        return np.where(
+            inside, demands_mbps / self.efficiency_factor, demands_mbps
+        )
 
 
 def apply_impairments_csr(
     impairments: Sequence[Impairment],
     visibility,
     demands_mbps: np.ndarray,
-    cell_positions: Sequence[LatLon],
+    lat_deg: np.ndarray,
+    lon_deg: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple:
     """Run all impairments over one step's inputs.
 
-    Takes a :class:`~repro.sim.visibility_index.CSRVisibility` and
-    returns ``(filtered relation, scaled demand vector)``; the satellite
-    filter is a single vectorized mask application.
+    Takes a :class:`~repro.sim.visibility_index.CSRVisibility` and the
+    cell centres, and returns ``(filtered relation, scaled demand
+    vector)``; the satellite filter is a single vectorized mask
+    application.
     """
     satellite_count = visibility.n_satellites
     keep = np.ones(satellite_count, dtype=bool)
@@ -128,5 +143,5 @@ def apply_impairments_csr(
         visibility = visibility.filter_satellites(keep)
     demands = demands_mbps
     for impairment in impairments:
-        demands = impairment.scale_demands(demands, cell_positions)
+        demands = impairment.scale_demands(demands, lat_deg, lon_deg)
     return visibility, demands

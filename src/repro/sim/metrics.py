@@ -25,10 +25,11 @@ def serving_transition_events(
     coverage for the first time (no satellite ever served it) is
     neither.
 
-    The same masks drive :class:`CoverageMetrics`,
-    :meth:`~repro.sim.trace.SimulationTrace.reconnections_per_cell`,
-    and the timeline churn model, so the three never disagree on what
-    counts as an event.
+    The same masks drive :class:`CoverageMetrics` and the timeline
+    churn model, so the two never disagree on what counts as an event;
+    the trace recorder in ``tests/oracles/trace.py`` recounts them from
+    a whole run's serving matrix, and ``tests/sim/test_parity.py``
+    asserts it agrees with :class:`CoverageMetrics`.
     """
     if previous_serving is None:
         no_events = np.zeros(serving_satellite.shape[0], dtype=bool)

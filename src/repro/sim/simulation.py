@@ -8,11 +8,11 @@ cell KD-trees once and propagates satellites by rotating cached epoch
 geometry, and reaches strategies as a CSR array relation
 (:class:`~repro.sim.visibility_index.CSRVisibility`).
 
-:meth:`ConstellationSimulation.step` is the one step path: :meth:`run`,
-:func:`~repro.sim.trace.record_trace` and the timeline workload all call
-it. The original per-step KD-tree rebuild over Python lists lives on as
-the test oracle in ``tests/oracles/simulation.py``, and
-``tests/sim/test_parity.py`` asserts the two agree report for report.
+:meth:`ConstellationSimulation.step` is the one step path: :meth:`run`
+and the timeline workload call it. The original per-step KD-tree
+rebuild over Python lists lives on as the test oracle in
+``tests/oracles/simulation.py``, and ``tests/sim/test_parity.py``
+asserts the two agree report for report, impairments included.
 """
 
 from __future__ import annotations
@@ -108,10 +108,6 @@ class ConstellationSimulation:
         ]
         self.impairments = list(impairments) if impairments else []
         self._impairment_rng = np.random.default_rng(impairment_seed)
-        # Cell centers are only needed by impairments; materializing
-        # them here would force every lazy columnar cell, so the
-        # _cell_positions property builds the list on first use.
-        self._cell_positions_cache: Optional[list] = None
         self.visibility_window = visibility_window
         self.gateways = list(gateways) if gateways else []
         if self.gateways:
@@ -153,15 +149,6 @@ class ConstellationSimulation:
                 window=self.visibility_window,
             )
         return self._index
-
-    @property
-    def _cell_positions(self) -> list:
-        """Per-cell centers, materialized on first use (impairments only)."""
-        if self._cell_positions_cache is None:
-            self._cell_positions_cache = [
-                cell.center for cell in self.dataset.cells
-            ]
-        return self._cell_positions_cache
 
     @staticmethod
     def _cells_to_ecef(dataset: DemandDataset) -> np.ndarray:
@@ -259,7 +246,8 @@ class ConstellationSimulation:
                         self.impairments,
                         csr,
                         demands,
-                        self._cell_positions,
+                        self.dataset.latitudes(),
+                        self.dataset.to_columns()["center_lon"],
                         self._impairment_rng,
                     )
             with obs.span("sim.assignment"):

@@ -32,6 +32,8 @@ from tests.oracles.explode import (
     bin_locations,
     explode_cells,
     reference_explode_table,
+    table_from_records,
+    table_to_records,
 )
 
 
@@ -84,7 +86,7 @@ class TestFusedExplodeDifferential:
     def test_matches_scalar_records(self, counts, seed):
         dataset = _dataset_from_counts(counts)
         fused_table = explode_cells_table(dataset, seed=seed)
-        reference = LocationTable.from_records(
+        reference = table_from_records(
             explode_cells(dataset, seed=seed)
         )
         assert fused_table.equals(reference)
@@ -220,7 +222,7 @@ class TestBinChunkEdges:
         dataset = _dataset_from_counts(counts)
         table = _with_served_rows(explode_cells_table(dataset, seed), served)
         for resolution in (5, 4):
-            expected = bin_locations(table.to_records(), resolution)
+            expected = bin_locations(table_to_records(table), resolution)
             assert _bin_in_chunks(table, resolution, chunk_rows) == expected
             assert bin_table(table, resolution) == expected
 
@@ -232,7 +234,7 @@ class TestBinChunkEdges:
         table = _with_served_rows(table, [False] * 6 + [True] * 3)
         served = table.is_served()
         assert served[6:9].all() and served.sum() == 3
-        expected = bin_locations(table.to_records(), 5)
+        expected = bin_locations(table_to_records(table), 5)
         assert sum(u + d for u, d in expected.values()) == len(table) - 3
         assert _bin_in_chunks(table, 5, chunk_rows) == expected
 

@@ -3,9 +3,9 @@
 The fast path (:class:`LocationTable`, :func:`explode_cells_table`,
 :func:`bin_table`, the chunked CSV I/O) must be outcome-identical — to the
 bit, including RNG draws — to the record-at-a-time reference
-(``explode_cells`` and ``bin_locations`` in ``tests/oracles/explode.py``,
-the record CSV I/O) on arbitrary datasets, and the binary NPZ format must
-round-trip losslessly.
+(``explode_cells``, ``bin_locations`` and the record CSV I/O in
+``tests/oracles/explode.py``) on arbitrary datasets, and the binary NPZ
+format must round-trip losslessly.
 """
 
 import numpy as np
@@ -16,14 +16,11 @@ from repro.demand.bsl import County, ServiceCell
 from repro.demand.dataset import DemandDataset
 from repro.demand.locations import (
     _TABLE_COLUMNS,
-    LocationRecord,
     LocationTable,
     TechnologyCode,
     bin_table,
     explode_cells_table,
-    read_locations_csv,
     read_table_csv,
-    write_locations_csv,
     write_table_csv,
 )
 from repro.errors import DatasetError
@@ -31,7 +28,14 @@ from repro.geo.coords import LatLon
 from repro.geo.hexgrid import CellId, HexGrid
 
 from tests.conftest import build_toy_dataset
-from tests.oracles.explode import bin_locations, explode_cells
+from tests.oracles.explode import (
+    bin_locations,
+    explode_cells,
+    read_locations_csv,
+    table_from_records,
+    table_to_records,
+    write_locations_csv,
+)
 
 
 def _dataset_from_counts(counts):
@@ -77,7 +81,7 @@ class TestExplodeDifferential:
     def test_table_matches_records(self, counts, seed):
         dataset = _dataset_from_counts(counts)
         table = explode_cells_table(dataset, seed=seed)
-        reference = LocationTable.from_records(explode_cells(dataset, seed=seed))
+        reference = table_from_records(explode_cells(dataset, seed=seed))
         assert table.equals(reference)
 
     def test_empty_dataset_cells(self):
@@ -90,7 +94,7 @@ class TestExplodeDifferential:
 
     def test_fixture_dataset(self, toy_dataset):
         table = explode_cells_table(toy_dataset, seed=3)
-        reference = LocationTable.from_records(
+        reference = table_from_records(
             explode_cells(toy_dataset, seed=3)
         )
         assert table.equals(reference)
@@ -155,7 +159,7 @@ class TestCsvDifferential:
                 fast_path.read_bytes() == reference_path.read_bytes()
             )
             loaded = read_table_csv(fast_path, chunk_size=chunk_size)
-            reference = LocationTable.from_records(
+            reference = table_from_records(
                 read_locations_csv(reference_path)
             )
             assert loaded.equals(reference)
@@ -482,7 +486,7 @@ class TestTableValidation:
 
     def test_masks_match_record_properties(self):
         records = explode_cells(build_toy_dataset([30, 30]), seed=9)
-        table = LocationTable.from_records(records)
+        table = table_from_records(records)
         assert table.is_served().tolist() == [r.is_served for r in records]
         assert table.is_unserved().tolist() == [
             r.is_unserved for r in records
@@ -490,8 +494,8 @@ class TestTableValidation:
 
     def test_to_records_roundtrip(self):
         records = explode_cells(build_toy_dataset([25]), seed=4)
-        table = LocationTable.from_records(records)
-        assert table.to_records() == records
+        table = table_from_records(records)
+        assert table_to_records(table) == records
         assert len(table) == len(records)
 
 
@@ -554,6 +558,7 @@ class TestCsvBoundary:
             (2, "", "lon_deg"),
             (4, "4.5", "county_id"),
             (5, "70000", "technology"),
+            (5, "fiber", "technology"),
             (6, "fast", "max_download_mbps"),
         ],
     )

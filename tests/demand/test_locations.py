@@ -1,25 +1,29 @@
-"""Tests for per-location record explode/bin round trips.
+"""Tests for the record-at-a-time explode, bin and CSV oracles.
 
-The record-at-a-time explode and bin are the differential oracles in
-``tests/oracles/explode.py``; the record type and its CSV I/O are library
-code.
+The record type, its explode and bin, and its CSV I/O live in
+``tests/oracles/explode.py``; the columnar library path is checked
+against them in ``test_location_table.py`` and ``test_fused.py``. The
+oracle reader does not validate, so the malformed-input cases here check
+that the library reader and table refuse what the record path writes or
+builds.
 """
 
-import numpy as np
 import pytest
 
-from repro.demand.locations import (
-    LocationRecord,
-    TechnologyCode,
-    read_locations_csv,
-    write_locations_csv,
-)
+from repro.demand.locations import TechnologyCode, read_table_csv
 from repro.errors import DatasetError
 from repro.geo.coords import LatLon
 from repro.geo.hexgrid import CellId, HexGrid
 
 from tests.conftest import build_toy_dataset
-from tests.oracles.explode import bin_locations, explode_cells
+from tests.oracles.explode import (
+    LocationRecord,
+    bin_locations,
+    explode_cells,
+    read_locations_csv,
+    table_from_records,
+    write_locations_csv,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,13 +123,13 @@ class TestCsv:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError):
-            read_locations_csv(tmp_path / "nope.csv")
+            read_table_csv(tmp_path / "nope.csv")
 
     def test_bad_headers(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(DatasetError):
-            read_locations_csv(bad)
+            read_table_csv(bad)
 
     def test_unknown_technology_code(self, small_records, tmp_path):
         """A malformed technology column is a dataset error, not a bare
@@ -138,29 +142,19 @@ class TestCsv:
         lines[1] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="unknown technology code"):
-            read_locations_csv(path)
-
-    def test_non_integer_technology_code(self, small_records, tmp_path):
-        _, records = small_records
-        path = write_locations_csv(records[:1], tmp_path / "locs.csv")
-        lines = path.read_text().splitlines()
-        fields = lines[1].split(",")
-        fields[5] = "fiber"
-        lines[1] = ",".join(fields)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetError, match="unknown technology code"):
-            read_locations_csv(path)
+            read_table_csv(path)
 
 
 class TestRecordValidation:
     def test_negative_speed_rejected(self):
+        record = LocationRecord(
+            location_id=0,
+            position=LatLon(0.0, 0.0),
+            cell=CellId(5, 0, 0),
+            county_id=0,
+            technology=TechnologyCode.NONE,
+            max_download_mbps=-1.0,
+            max_upload_mbps=0.0,
+        )
         with pytest.raises(DatasetError):
-            LocationRecord(
-                location_id=0,
-                position=LatLon(0.0, 0.0),
-                cell=CellId(5, 0, 0),
-                county_id=0,
-                technology=TechnologyCode.NONE,
-                max_download_mbps=-1.0,
-                max_upload_mbps=0.0,
-            )
+            table_from_records([record])

@@ -115,6 +115,16 @@ class TestValidation:
         assert metrics["demand_satisfaction"] > 0.9
 
 
+class TestServing:
+    def test_service_equals_batch_in_every_scenario(self, results):
+        from repro.experiments.serving import SCENARIOS
+
+        result = results["serve"]
+        assert result.metrics["all_equal"] == 1.0
+        assert len(result.csv_rows) == len(SCENARIOS)
+        assert [row[-1] for row in result.csv_rows] == ["yes"] * len(SCENARIOS)
+
+
 class TestAblations:
     """How the headline results move when one model ingredient moves.
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -89,6 +90,20 @@ class TestHaversine:
         west = LatLon(0.0, 179.0)
         east = LatLon(0.0, -179.0)
         assert haversine_km(west, east) < 300.0
+
+    @given(
+        st.lists(st.tuples(lat_strategy, lon_strategy), min_size=1, max_size=20),
+        lat_strategy,
+        lon_strategy,
+    )
+    def test_arrays_match_the_scalar_calls(self, points, lat, lon):
+        site = LatLon(lat, lon)
+        lats = np.array([p[0] for p in points])
+        lons = np.array([p[1] for p in points])
+        distances = haversine_km(LatLon(lats, lons), site)
+        assert distances.tolist() == [
+            haversine_km(LatLon(a, b), site) for a, b in points
+        ]
 
 
 class TestBearing:

@@ -7,7 +7,7 @@ CSR relation: each step propagates every shell, builds a KD-tree over
 the satellites, ball-queries every cell centre, and hands per-cell lists
 of satellite ids to a list-based strategy (the ``Reference*`` loops of
 ``tests/oracles/assignment.py``). Impairments filter those lists cell by
-cell and scale the demand vector.
+cell, and a rain fade scales the demand vector one cell at a time.
 
 The oracle reads the simulation's geometry and configuration (walkers,
 cell ECEF positions, chord radii, gateways, impairments, demands, beam
@@ -26,8 +26,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.errors import SimulationError
+from repro.geo.coords import haversine_km
 from repro.orbits.kepler import ecef_to_latlon, eci_to_ecef
 from repro.sim.engine import SimulationClock
+from repro.sim.impairments import RainFade
 from repro.sim.metrics import CoverageMetrics
 
 
@@ -73,6 +75,9 @@ def reference_impairments(sim, visible, demands_mbps: np.ndarray):
     Returns (filtered visibility lists, scaled demand vector). Draws
     from ``sim._impairment_rng`` as the simulation does, so compare a
     reference run against a separate simulation built the same way.
+    A :class:`~repro.sim.impairments.RainFade` scales cell by cell, from
+    each cell's centre and the scalar great-circle distance; the other
+    impairments leave demand unchanged.
     """
     keep = np.ones(sim.satellite_count, dtype=bool)
     for impairment in sim.impairments:
@@ -85,7 +90,14 @@ def reference_impairments(sim, visible, demands_mbps: np.ndarray):
         visible = [sats[keep[sats]] for sats in visible]
     demands = demands_mbps
     for impairment in sim.impairments:
-        demands = impairment.scale_demands(demands, sim._cell_positions)
+        if not isinstance(impairment, RainFade):
+            continue
+        scaled = demands.copy()
+        for index, cell in enumerate(sim.dataset.cells):
+            distance = haversine_km(cell.center, impairment.center)
+            if distance <= impairment.radius_km:
+                scaled[index] = demands[index] / impairment.efficiency_factor
+        demands = scaled
     return visible, demands
 
 

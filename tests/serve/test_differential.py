@@ -18,16 +18,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core.affordability import AffordabilityAnalysis
 from repro.core.oversubscription import OversubscriptionAnalysis
 from repro.demand.locations import explode_cells_table
-from repro.serve import (
-    QueryEngine,
-    ScenarioParams,
-    build_index,
+from repro.serve import QueryEngine, ScenarioParams, build_index
+
+from tests.conftest import build_toy_dataset
+from tests.oracles.serve import (
     reference_cell_answer,
     reference_county_answer,
     reference_point_answer,
 )
-
-from tests.conftest import build_toy_dataset
 
 #: Scenario triples every CI run checks deterministically — the paper's
 #: FCC benchmark, a tight cap that splits cells, and a spread beamset

@@ -13,7 +13,6 @@ from repro.sim.assignment import (
     ProportionalFair,
     StickyGreedy,
 )
-from repro.sim.beamgroups import SpreadAssignment
 from repro.sim.simulation import ConstellationSimulation
 from repro.spectrum.beams import BeamPlan
 
@@ -39,7 +38,6 @@ def test_strategy_interface_is_assign_csr_alone():
         GreedyDemandFirst,
         ProportionalFair,
         StickyGreedy,
-        SpreadAssignment,
     ):
         assert not hasattr(strategy_cls, "assign")
 

@@ -1,5 +1,7 @@
 """Tests for failure injection (outages, rain fade)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,21 +47,53 @@ class TestRainFade:
     def test_inflates_demand_inside_radius(self):
         fade = RainFade(LatLon(37.0, -90.0), radius_km=100.0, efficiency_factor=0.5)
         demands = np.array([100.0, 100.0])
-        positions = [LatLon(37.0, -90.0), LatLon(45.0, -70.0)]
-        scaled = fade.scale_demands(demands, positions)
+        scaled = fade.scale_demands(
+            demands, np.array([37.0, 45.0]), np.array([-90.0, -70.0])
+        )
         assert scaled[0] == pytest.approx(200.0)
         assert scaled[1] == pytest.approx(100.0)
 
     def test_factor_one_is_noop(self):
         fade = RainFade(LatLon(0.0, 0.0), radius_km=100.0, efficiency_factor=1.0)
         demands = np.array([50.0])
-        assert fade.scale_demands(demands, [LatLon(0.0, 0.0)])[0] == 50.0
+        assert fade.scale_demands(demands, np.zeros(1), np.zeros(1))[0] == 50.0
 
     def test_validation(self):
         with pytest.raises(SimulationError):
             RainFade(LatLon(0.0, 0.0), radius_km=0.0, efficiency_factor=0.5)
         with pytest.raises(SimulationError):
             RainFade(LatLon(0.0, 0.0), radius_km=10.0, efficiency_factor=0.0)
+
+    @pytest.mark.parametrize("radius_km", [math.nan, math.inf])
+    def test_non_finite_radius_refused(self, radius_km):
+        with pytest.raises(SimulationError, match="radius"):
+            RainFade(LatLon(0.0, 0.0), radius_km=radius_km, efficiency_factor=0.5)
+
+    @pytest.mark.parametrize(
+        "center",
+        [
+            LatLon(math.nan, -90.0),
+            LatLon(37.0, math.nan),
+            LatLon(math.inf, -90.0),
+            LatLon(37.0, -math.inf),
+            LatLon(90.5, -90.0),
+            LatLon(-91.0, -90.0),
+            LatLon(37.0, 180.5),
+            LatLon(37.0, 270.0),
+        ],
+        ids=lambda center: f"{center[0]},{center[1]}",
+    )
+    def test_centre_off_the_globe_refused(self, center):
+        with pytest.raises(SimulationError, match="centre"):
+            RainFade(center, radius_km=100.0, efficiency_factor=0.5)
+
+    @pytest.mark.parametrize(
+        "center",
+        [LatLon(90.0, 180.0), LatLon(-90.0, -180.0)],
+        ids=lambda center: f"{center[0]},{center[1]}",
+    )
+    def test_centre_on_the_range_edges_accepted(self, center):
+        RainFade(center, radius_km=100.0, efficiency_factor=0.5)
 
 
 class TestComposition:
@@ -70,9 +104,13 @@ class TestComposition:
         ]
         visibility = CSRVisibility.from_lists([np.arange(10)], n_satellites=10)
         demands = np.array([100.0])
-        positions = [LatLon(0.0, 0.0)]
         filtered, scaled = apply_impairments_csr(
-            impairments, visibility, demands, positions, np.random.default_rng(0)
+            impairments,
+            visibility,
+            demands,
+            np.zeros(1),
+            np.zeros(1),
+            np.random.default_rng(0),
         )
         keep = impairments[0].filter_satellites(10, np.random.default_rng(0))
         np.testing.assert_array_equal(filtered.cell(0), np.flatnonzero(keep))

@@ -25,7 +25,6 @@ from repro.sim.engine import SimulationClock
 from repro.sim.impairments import RainFade, SatelliteOutages
 from repro.sim.metrics import CoverageMetrics
 from repro.sim.simulation import ConstellationSimulation
-from repro.sim.trace import SimulationTrace, record_trace
 
 from tests.conftest import build_toy_dataset
 from tests.oracles.assignment import (
@@ -34,6 +33,7 @@ from tests.oracles.assignment import (
     ReferenceStickyGreedy,
 )
 from tests.oracles.simulation import reference_run
+from tests.oracles.trace import SimulationTrace, record_trace
 
 
 def trace_from_serving(serving_matrix) -> SimulationTrace:

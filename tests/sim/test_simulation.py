@@ -88,16 +88,7 @@ class TestRun:
 
 
 class TestStepEngine:
-    """PR 8 plumbing: lazy cell centers and the windowed visibility mode."""
-
-    def test_cell_positions_built_lazily(self, regional_dataset):
-        sim = ConstellationSimulation(GEN1_SHELLS[:1], regional_dataset)
-        assert sim._cell_positions_cache is None
-        sim.step(0.0)  # the array path needs no per-cell objects
-        assert sim._cell_positions_cache is None
-        positions = sim._cell_positions
-        assert len(positions) == len(regional_dataset.cells)
-        assert sim._cell_positions is positions  # memoized
+    """The windowed visibility mode and its configuration."""
 
     def test_windowed_run_reports_identical(self, regional_dataset):
         def run(window):

@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.bentpipe import BentPipeAnalysis
 from repro.core.model import StarlinkDivideModel
 from repro.demand.dataset import DemandDataset
 from repro.demand.locations import bin_table, explode_cells_table
 from repro.demand.regions import andes_highlands
 from repro.demand.synthetic import SyntheticMapConfig, generate_national_map
+from repro.geo.coords import LatLon
 from repro.orbits.shells import GEN1_SHELLS
 from repro.serve import build_index
 from repro.sim.engine import SimulationClock
+from repro.sim.impairments import RainFade, SatelliteOutages
 from repro.sim.simulation import ConstellationSimulation
 from repro.timeline import (
     HandoverChurnModel,
@@ -72,6 +75,22 @@ def test_simulation_run(dataset):
     )
     metrics = simulation.run(SimulationClock(duration_s=120.0, step_s=60.0))
     simulation.report(metrics)
+
+
+def test_impaired_simulation_step(dataset):
+    simulation = ConstellationSimulation(
+        list(GEN1_SHELLS),
+        dataset,
+        impairments=[
+            SatelliteOutages(outage_fraction=0.1, seed=1),
+            RainFade(LatLon(-33.0, -71.0), radius_km=300.0, efficiency_factor=0.5),
+        ],
+    )
+    simulation.step(0.0)
+
+
+def test_bent_pipe_coverage_summary(dataset):
+    BentPipeAnalysis(dataset).coverage_summary()
 
 
 def test_timeline_run(dataset):

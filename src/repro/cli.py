@@ -43,6 +43,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.obs.writer import LOG_LEVELS
+from repro.sim.assignment import STRATEGIES
 from repro.viz.export import write_series_csv
 
 _log = obs.get_logger("cli")
@@ -351,19 +352,9 @@ def _cmd_export_geojson(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.orbits.shells import GEN1_SHELLS, current_deployment
-    from repro.sim.assignment import (
-        GreedyDemandFirst,
-        ProportionalFair,
-        StickyGreedy,
-    )
     from repro.sim.engine import SimulationClock
     from repro.sim.simulation import ConstellationSimulation
 
-    strategies = {
-        "greedy": GreedyDemandFirst,
-        "fair": ProportionalFair,
-        "sticky": StickyGreedy,
-    }
     model = _build_model(args.seed, args.grid_resolution)
     region = model.dataset.subset_bbox(
         args.lat_min, args.lat_max, args.lon_min, args.lon_max, "CLI region"
@@ -375,7 +366,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         shells,
         region,
         oversubscription=args.oversubscription,
-        strategy=strategies[args.strategy](),
+        strategy=STRATEGIES[args.strategy](),
         visibility_window=args.visibility_window,
     )
     clock = SimulationClock(duration_s=args.duration, step_s=args.step)
@@ -809,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument("--step", type=float, default=60.0)
     sim_parser.add_argument("--oversubscription", type=float, default=20.0)
     sim_parser.add_argument(
-        "--strategy", choices=("greedy", "fair", "sticky"), default="fair"
+        "--strategy", choices=tuple(STRATEGIES), default="fair"
     )
     sim_parser.add_argument(
         "--shells", choices=("gen1-53", "current"), default="gen1-53"
@@ -862,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oversubscription", type=float, default=20.0
     )
     timeline_parser.add_argument(
-        "--strategy", choices=("greedy", "fair", "sticky"), default="greedy"
+        "--strategy", choices=tuple(STRATEGIES), default="greedy"
     )
     timeline_parser.add_argument(
         "--shells", choices=("gen1-53", "current"), default="gen1-53"

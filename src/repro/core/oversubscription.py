@@ -14,6 +14,7 @@ at the FCC's 20:1 benchmark.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -63,12 +64,15 @@ def cell_location_cap(
     same code path, so service answers and batch answers share one
     definition.
     """
-    if oversubscription <= 0.0:
+    # Written so that NaN, which fails every comparison, is refused too.
+    if not (0.0 < oversubscription < math.inf):
         raise CapacityModelError(
-            f"oversubscription must be positive: {oversubscription!r}"
+            f"oversubscription must be positive and finite: {oversubscription!r}"
         )
-    if beamspread < 1.0:
-        raise CapacityModelError(f"beamspread must be >= 1: {beamspread!r}")
+    if not (1.0 <= beamspread < math.inf):
+        raise CapacityModelError(
+            f"beamspread must be finite and >= 1: {beamspread!r}"
+        )
     spread_capacity = capacity.cell_capacity_mbps / beamspread
     return int(
         spread_capacity * oversubscription // capacity.per_location_downlink_mbps

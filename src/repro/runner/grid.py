@@ -12,13 +12,15 @@ Grids parse from a compact command-line spec::
     beamspread=1,2,5;oversubscription=10,15,20,25
 
 (axes separated by ``;`` or whitespace, values by ``,``; values become
-``int`` where possible, else ``float``, else stay strings).
+``int`` where possible, else ``float``, else stay strings; ``nan`` and
+``inf`` are refused).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from repro.errors import RunnerError
@@ -87,9 +89,15 @@ class ParameterGrid:
                 )
             if name in axes:
                 raise RunnerError(f"duplicate grid axis {name!r}")
-            axes[name] = [_parse_value(v) for v in values.split(",") if v]
-            if not axes[name]:
+            texts = [v for v in values.split(",") if v]
+            if not texts:
                 raise RunnerError(f"axis {name!r} has no values")
+            axes[name] = [_parse_value(v) for v in texts]
+            for text, value in zip(texts, axes[name]):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise RunnerError(
+                        f"grid axis {name!r}: {text!r} is not a finite number"
+                    )
         return cls(axes)
 
     def __len__(self) -> int:

@@ -4,7 +4,8 @@ Each simulation step produces a visibility relation (which satellites can
 serve which cells) and the strategy decides where every satellite points
 its beams. A strategy implements one method,
 :meth:`BeamAssignmentStrategy.assign_csr`, over the CSR relation of
-:class:`~repro.sim.visibility_index.CSRVisibility`. Three are provided:
+:class:`~repro.sim.visibility_index.CSRVisibility`. Three are provided,
+named by :data:`STRATEGIES`:
 
 * :class:`GreedyDemandFirst` — serve the hungriest cells first, pinning as
   many beams as their provisioned demand needs (the paper's peak-cell
@@ -14,23 +15,25 @@ its beams. A strategy implements one method,
 * :class:`StickyGreedy` — demand-first, but each cell keeps last step's
   serving satellite while it can.
 
-The greedy and fair kernels hoist all per-cell NumPy work (demand
-ordering, beam requirements) into bulk operations done once per step;
-the old per-cell ``np.argsort(-free_beams[sats])`` is replaced by a
-single best-candidate scan with an early exit on untouched satellites.
+All three run one claim loop, :func:`_claim_beams`, which visits cells in
+a given order and has each claim beams from its candidate satellites
+until its need is met. They differ only in the visit order, the per-cell
+need and the pick (see its docstring). Per-cell NumPy work (demand
+ordering, beam requirements) is done in bulk once per step.
 
 The expensive regime is late in a step, when most satellites are
-drained: a cell's best-candidate scan then walks a long row to find
-nothing. Both kernels track satellite *deaths* to skip that work: the
-first time a satellite drains, a satellite -> cells transpose of the
-relation is built (lazily — steps that never drain a satellite pay
-nothing), and a per-cell count of still-live candidates is maintained
-from it. A cell whose live count is zero is skipped in O(1), which is
-exact — beam counts only decrease, so a dead cell stays dead. The
-ProportionalFair leftover pass additionally swaps its
-``np.argmax``-per-grant scan (O(cells) each) for a lazy max-heap with
-stale-entry skipping, preserving the argmax tie-break (equal unmet
-demand -> lowest cell id) via the heap's (key, cell) ordering.
+drained: a cell's candidate scan then walks a long row to find nothing.
+The loop tracks satellite *deaths* to skip that work: the first time a
+satellite drains, a satellite -> cells transpose of the relation is
+built (lazily — steps that never drain a satellite pay nothing), and a
+per-cell count of still-live candidates is maintained from it. A cell
+whose live count is zero is skipped in O(1), which is exact whatever the
+pick — beam counts only decrease, so a dead cell stays dead. The
+ProportionalFair leftover pass continues from the loop's beams and
+death tracking, and swaps an ``np.argmax``-per-grant scan (O(cells)
+each) for a lazy max-heap with stale-entry skipping, preserving the
+argmax tie-break (equal unmet demand -> lowest cell id) via the heap's
+(key, cell) ordering.
 
 All three are outcome-identical to the original interpreted loops over
 per-cell lists, which are kept verbatim in ``tests/oracles/assignment.py``
@@ -42,7 +45,7 @@ from __future__ import annotations
 import abc
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 from scipy import sparse
@@ -161,6 +164,101 @@ def _live_candidates(
     return csc.indptr, csc.indices, np.diff(visibility.indptr)
 
 
+def _claim_beams(
+    visibility: CSRVisibility,
+    plan: BeamPlan,
+    order: List[int],
+    needed: List[int],
+    enough: int,
+    kept: Optional[List[int]] = None,
+) -> Tuple[List[int], List[int], List[int], list]:
+    """The claim loop every strategy runs.
+
+    Visits the cells in ``order``; each takes beams from its candidates
+    until it holds ``needed[cell]`` or none has a free beam. The pick:
+    the first candidate in row order with at least ``enough`` free
+    beams, else the one with the most. With ``enough`` equal to the
+    satellite budget that is the most-free candidate (an untouched
+    budget can't be beaten, so the scan stops at the first one); with
+    ``enough = 1`` it is the first candidate with any. ``kept[cell]``,
+    when given, is taken from first if it is one of the cell's
+    candidates with free beams.
+
+    A chosen satellite is either drained or finishes the cell, so
+    rescanning the row after each claim visits candidates in exactly the
+    order a descending sort by free beams, or a walk along the row,
+    would.
+
+    Returns ``(free, granted, serving, state)``: beams left per
+    satellite, beams and primary satellite per cell, and, for a caller
+    that claims more, ``[indptr, alive, t_indptr, t_indices, pending]``:
+    the row bounds as a list and the death tracking (see
+    :func:`_live_candidates`; ``pending`` holds drains not yet folded
+    into ``alive``).
+    """
+    n_cells = visibility.n_cells
+    indptr = visibility.indptr.tolist()
+    indices = visibility.indices
+    free = [plan.beams_per_satellite] * visibility.n_satellites
+    serving = [-1] * n_cells
+    granted = [0] * n_cells
+    alive = None
+    t_indptr = t_indices = None
+    pending: List[int] = []
+    for cell in order:
+        start = indptr[cell]
+        end = indptr[cell + 1]
+        if start == end:
+            continue
+        if alive is not None:
+            if pending:
+                for sat in pending:
+                    touched = t_indices[t_indptr[sat] : t_indptr[sat + 1]]
+                    alive[touched] -= 1
+                pending.clear()
+            if not alive[cell]:
+                continue  # every candidate drained: exact skip
+        row = indices[start:end].tolist()
+        need = needed[cell]
+        got = 0
+        best = -1
+        if kept is not None:
+            sat = kept[cell]
+            # Membership first: last step's server may not be a
+            # candidate now, and -1 (uncovered) must not index ``free``.
+            if sat in row and free[sat]:
+                best = sat
+                best_free = free[sat]
+        while got < need:
+            if best < 0:
+                best_free = 0
+                for sat in row:
+                    beams = free[sat]
+                    if beams > best_free:
+                        best_free = beams
+                        best = sat
+                        if beams >= enough:
+                            break
+                if best < 0:
+                    break
+            take = need - got
+            if take > best_free:
+                take = best_free
+            remaining = best_free - take
+            free[best] = remaining
+            if remaining == 0:
+                if alive is None:
+                    t_indptr, t_indices, alive = _live_candidates(visibility)
+                pending.append(best)
+            if got == 0:
+                serving[cell] = best
+            got += take
+            best = -1
+        granted[cell] = got
+    state = [indptr, alive, t_indptr, t_indices, pending]
+    return free, granted, serving, state
+
+
 class GreedyDemandFirst(BeamAssignmentStrategy):
     """Hungriest cells claim beams first, up to their full need."""
 
@@ -171,81 +269,14 @@ class GreedyDemandFirst(BeamAssignmentStrategy):
         plan: BeamPlan,
     ) -> AssignmentOutcome:
         self._check_csr(visibility, demands_mbps)
-        n_cells = demands_mbps.shape[0]
-        budget = plan.beams_per_satellite
-        order = np.argsort(-demands_mbps, kind="stable").tolist()
-        needed = _beams_needed(demands_mbps, plan).tolist()
-        indptr = visibility.indptr.tolist()
-        indices = visibility.indices
-        free = [budget] * visibility.n_satellites
-        serving = [-1] * n_cells
-        granted = [0] * n_cells
-        # Death tracking (see _live_candidates): built at the first
-        # drained satellite; ``pending`` holds drains not yet folded
-        # into ``alive``.
-        alive = None
-        t_indptr = t_indices = None
-        pending: List[int] = []
-        if budget > 0:
-            for cell in order:
-                start = indptr[cell]
-                end = indptr[cell + 1]
-                if start == end:
-                    continue
-                if alive is not None:
-                    if pending:
-                        for sat in pending:
-                            touched = t_indices[t_indptr[sat] : t_indptr[sat + 1]]
-                            alive[touched] -= 1
-                        pending.clear()
-                    if not alive[cell]:
-                        continue  # every candidate drained: exact skip
-                row = indices[start:end].tolist()
-                need = needed[cell]
-                got = 0
-                serve = -1
-                # Take from the candidate with the most free beams until the
-                # need is met; a chosen satellite is either drained or finishes
-                # the cell, so repeated best-candidate scans visit candidates
-                # in exactly the order the full descending sort used to. A
-                # candidate with an untouched budget can't be beaten, so the
-                # scan stops at the first one (the common case).
-                while got < need:
-                    best = -1
-                    best_free = 0
-                    for sat in row:
-                        beams = free[sat]
-                        if beams > best_free:
-                            best_free = beams
-                            best = sat
-                            if beams == budget:
-                                break
-                    if best < 0:
-                        break
-                    take = need - got
-                    if take > best_free:
-                        take = best_free
-                    remaining = best_free - take
-                    free[best] = remaining
-                    if remaining == 0:
-                        if alive is None:
-                            t_indptr, t_indices, alive = _live_candidates(
-                                visibility
-                            )
-                        pending.append(best)
-                    if got == 0:
-                        serve = best
-                    got += take
-                if got:
-                    serving[cell] = serve
-                    granted[cell] = got
-        return _finish_outcome(
-            np.array(granted, dtype=np.int64),
-            np.array(serving, dtype=int),
-            np.array(free, dtype=int),
-            demands_mbps,
+        free, granted, serving, _ = _claim_beams(
+            visibility,
             plan,
+            np.argsort(-demands_mbps, kind="stable").tolist(),
+            _beams_needed(demands_mbps, plan).tolist(),
+            enough=plan.beams_per_satellite,
         )
+        return _finish_outcome(granted, serving, free, demands_mbps, plan)
 
 
 class ProportionalFair(BeamAssignmentStrategy):
@@ -258,64 +289,21 @@ class ProportionalFair(BeamAssignmentStrategy):
         plan: BeamPlan,
     ) -> AssignmentOutcome:
         self._check_csr(visibility, demands_mbps)
-        n_cells = demands_mbps.shape[0]
         budget = plan.beams_per_satellite
         capacity = plan.beam_capacity_mbps
         max_beams = plan.max_beams_per_cell
-        indptr = visibility.indptr.tolist()
+        # Pass 1: coverage, one beam a cell, scarcest cells (fewest
+        # visible satellites) first so footprint-edge cells claim their
+        # few candidates before interior cells drain them.
+        free, granted, serving, state = _claim_beams(
+            visibility,
+            plan,
+            np.argsort(visibility.counts(), kind="stable").tolist(),
+            [1] * demands_mbps.shape[0],
+            enough=budget,
+        )
+        indptr, alive, t_indptr, t_indices, pending = state
         indices = visibility.indices
-        free = [budget] * visibility.n_satellites
-        granted = [0] * n_cells
-        serving = [-1] * n_cells
-        covered = np.zeros(n_cells, dtype=bool)
-        # Death tracking (see _live_candidates): built at the first
-        # drained satellite; ``pending`` holds drains not yet folded
-        # into ``alive``.
-        alive = None
-        t_indptr = t_indices = None
-        pending: List[int] = []
-
-        # Pass 1: coverage, scarcest cells (fewest visible satellites)
-        # first so footprint-edge cells claim their few candidates before
-        # interior cells drain them.
-        if budget > 0:
-            for cell in np.argsort(
-                visibility.counts(), kind="stable"
-            ).tolist():
-                start = indptr[cell]
-                end = indptr[cell + 1]
-                if start == end:
-                    continue
-                if alive is not None:
-                    if pending:
-                        for sat in pending:
-                            touched = t_indices[t_indptr[sat] : t_indptr[sat + 1]]
-                            alive[touched] -= 1
-                        pending.clear()
-                    if not alive[cell]:
-                        continue  # every candidate drained: exact skip
-                best = -1
-                best_free = 0
-                for sat in indices[start:end].tolist():
-                    beams = free[sat]
-                    if beams > best_free:
-                        best_free = beams
-                        best = sat
-                        if beams == budget:
-                            break
-                if best < 0:
-                    continue
-                remaining = best_free - 1
-                free[best] = remaining
-                if remaining == 0:
-                    if alive is None:
-                        t_indptr, t_indices, alive = _live_candidates(
-                            visibility
-                        )
-                    pending.append(best)
-                serving[cell] = best
-                granted[cell] = 1
-                covered[cell] = True
 
         # Pass 2: capacity. Repeatedly grant a beam to the cell with the
         # largest unmet demand; a cell leaves the pool when satisfied, at
@@ -329,7 +317,7 @@ class ProportionalFair(BeamAssignmentStrategy):
         # unmet demand resolves to the lowest cell id.
         granted_np = np.array(granted, dtype=np.int64)
         unmet = demands_mbps - granted_np * capacity
-        eligible = covered & (unmet > 0.0) & (granted_np < max_beams)
+        eligible = (granted_np > 0) & (unmet > 0.0) & (granted_np < max_beams)
         entitled = {}
         heap = []
         for cell in np.flatnonzero(eligible).tolist():
@@ -378,29 +366,24 @@ class ProportionalFair(BeamAssignmentStrategy):
                 heapq.heappush(heap, (-value, cell))
             else:
                 del entitled[cell]
-        return _finish_outcome(
-            np.array(granted, dtype=np.int64),
-            np.array(serving, dtype=int),
-            np.array(free, dtype=int),
-            demands_mbps,
-            plan,
-        )
+        return _finish_outcome(granted, serving, free, demands_mbps, plan)
 
 
 def _finish_outcome(
-    granted: np.ndarray,
-    serving: np.ndarray,
-    free_beams: np.ndarray,
+    granted: List[int],
+    serving: List[int],
+    free_beams: List[int],
     demands_mbps: np.ndarray,
     plan: BeamPlan,
 ) -> AssignmentOutcome:
     """Assemble the outcome arrays from per-cell grants (bulk ops)."""
-    pointed = granted * plan.beam_capacity_mbps
+    granted_np = np.array(granted, dtype=np.int64)
+    pointed = granted_np * plan.beam_capacity_mbps
     return AssignmentOutcome(
         allocated_mbps=np.minimum(pointed, demands_mbps),
-        beams_used=plan.beams_per_satellite - free_beams,
-        covered=granted > 0,
-        serving_satellite=serving,
+        beams_used=plan.beams_per_satellite - np.array(free_beams, dtype=int),
+        covered=granted_np > 0,
+        serving_satellite=np.array(serving, dtype=int),
         capacity_pointed_mbps=pointed,
     )
 
@@ -409,13 +392,13 @@ class StickyGreedy(GreedyDemandFirst):
     """Greedy demand-first with serving-satellite stickiness.
 
     Remembers each cell's serving satellite from the previous step and
-    keeps it while it remains visible with enough free beams — modeling a
+    keeps it while it remains visible with free beams — modeling a
     scheduler that avoids needless beam handovers. Stateful across steps:
     use one instance per simulation run.
 
     Cells are visited hungriest first, as in :class:`GreedyDemandFirst`,
-    but each takes beams from its candidates in row order (ascending
-    satellite id) with last step's serving satellite moved to the front,
+    but each takes beams from last step's serving satellite first and
+    then from its candidates in row order (ascending satellite id),
     instead of from the candidate with the most free beams.
     """
 
@@ -433,38 +416,23 @@ class StickyGreedy(GreedyDemandFirst):
         if self._previous is not None and self._previous.shape[0] != n_cells:
             raise SimulationError("sticky state misaligned with cell count")
         previous = None if self._previous is None else self._previous.tolist()
-        needed = _beams_needed(demands_mbps, plan).tolist()
-        free = [plan.beams_per_satellite] * visibility.n_satellites
-        granted = [0] * n_cells
-        serving = [-1] * n_cells
-        for cell in np.argsort(-demands_mbps, kind="stable").tolist():
-            row = visibility.cell(cell).tolist()
-            if not row:
-                continue
-            if previous is not None:
-                kept = previous[cell]
-                if kept >= 0 and kept in row:
-                    row.remove(kept)
-                    row.insert(0, kept)
-            need = needed[cell]
-            got = 0
-            for sat in row:  # candidate order IS the preference order
-                take = min(need - got, free[sat])
-                if take <= 0:
-                    continue
-                free[sat] -= take
-                if got == 0:
-                    serving[cell] = sat
-                got += take
-                if got == need:
-                    break
-            granted[cell] = got
-        outcome = _finish_outcome(
-            np.array(granted, dtype=np.int64),
-            np.array(serving, dtype=int),
-            np.array(free, dtype=int),
-            demands_mbps,
+        free, granted, serving, _ = _claim_beams(
+            visibility,
             plan,
+            np.argsort(-demands_mbps, kind="stable").tolist(),
+            _beams_needed(demands_mbps, plan).tolist(),
+            enough=1,
+            kept=previous,
         )
+        outcome = _finish_outcome(granted, serving, free, demands_mbps, plan)
         self._previous = outcome.serving_satellite.copy()
         return outcome
+
+
+#: Strategy ids, as ``--strategy`` and
+#: :class:`~repro.timeline.TimelineConfig` accept them.
+STRATEGIES: Dict[str, Type[BeamAssignmentStrategy]] = {
+    "greedy": GreedyDemandFirst,
+    "fair": ProportionalFair,
+    "sticky": StickyGreedy,
+}

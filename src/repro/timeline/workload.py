@@ -33,11 +33,7 @@ from repro import obs
 from repro.demand.dataset import DemandDataset
 from repro.errors import SimulationError
 from repro.orbits.shells import Shell
-from repro.sim.assignment import (
-    GreedyDemandFirst,
-    ProportionalFair,
-    StickyGreedy,
-)
+from repro.sim.assignment import STRATEGIES
 from repro.sim.engine import SimulationClock
 from repro.sim.metrics import CoverageMetrics, SimulationReport
 from repro.sim.simulation import ConstellationSimulation
@@ -45,15 +41,6 @@ from repro.timeline.churn import ChurnState, HandoverChurnModel
 from repro.timeline.diurnal import DiurnalProfile
 
 SECONDS_PER_DAY = 86400.0
-
-_STRATEGIES = {
-    "greedy": GreedyDemandFirst,
-    "fair": ProportionalFair,
-    "sticky": StickyGreedy,
-}
-
-STRATEGY_NAMES: Tuple[str, ...] = tuple(sorted(_STRATEGIES))
-"""Strategy ids accepted by :class:`TimelineConfig`."""
 
 
 @dataclass(frozen=True)
@@ -72,10 +59,10 @@ class TimelineConfig:
     start_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.strategy not in _STRATEGIES:
+        if self.strategy not in STRATEGIES:
             raise SimulationError(
                 f"unknown strategy {self.strategy!r}; "
-                f"choose from {', '.join(STRATEGY_NAMES)}"
+                f"choose from {', '.join(STRATEGIES)}"
             )
         # Clock construction validates duration/step/start (finite,
         # positive, step <= duration) so a bad config fails here, not
@@ -191,7 +178,7 @@ def run_timeline(
         shells,
         dataset,
         oversubscription=config.oversubscription,
-        strategy=_STRATEGIES[config.strategy](),
+        strategy=STRATEGIES[config.strategy](),
         visibility_window=config.visibility_window,
     )
     clock = config.clock()
@@ -347,7 +334,7 @@ def _matches_static(
         shells,
         dataset,
         oversubscription=config.oversubscription,
-        strategy=_STRATEGIES[config.strategy](),
+        strategy=STRATEGIES[config.strategy](),
         visibility_window=config.visibility_window,
     )
     static_report = static.report(static.run(clock))

@@ -1,9 +1,11 @@
 """Tests for the servability analysis (Fig 2, F1)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.core.oversubscription import OversubscriptionAnalysis
+from repro.core.oversubscription import OversubscriptionAnalysis, cell_location_cap
 from repro.errors import CapacityModelError
 
 from tests.conftest import build_toy_dataset
@@ -26,6 +28,16 @@ class TestCellCap:
             toy_analysis.cell_location_cap(0.0)
         with pytest.raises(CapacityModelError):
             toy_analysis.cell_location_cap(20.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "oversubscription, beamspread",
+        [(math.nan, 1.0), (math.inf, 1.0), (20.0, math.nan), (20.0, math.inf)],
+    )
+    def test_rejects_non_finite_inputs(
+        self, toy_analysis, oversubscription, beamspread
+    ):
+        with pytest.raises(CapacityModelError):
+            cell_location_cap(toy_analysis.capacity, oversubscription, beamspread)
 
 
 class TestStats:

@@ -49,7 +49,8 @@ class TestFromSpec:
             assert len(grid) == 2
 
     @pytest.mark.parametrize(
-        "spec", ["", "   ", "noequals", "=1,2", "a=", "a=1;a=2"]
+        "spec",
+        ["", "   ", "noequals", "=1,2", "a=", "a=1;a=2", "a=nan", "a=1,-inf"],
     )
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(RunnerError):

@@ -65,6 +65,10 @@ PAIRS = [
     (ProportionalFair, ReferenceProportionalFair),
 ]
 
+#: The two-step drain and satellite-filter cases also run sticky, whose
+#: single-step cases are covered by :class:`TestStickyMatchesReference`.
+MULTI_STEP_PAIRS = [*PAIRS, (StickyGreedy, ReferenceStickyGreedy)]
+
 
 def _relation(draw, n_cells, n_sats):
     """Random per-cell arrays of distinct, ascending satellite ids."""
@@ -134,8 +138,8 @@ def assert_outcomes_identical(actual: AssignmentOutcome, expected: AssignmentOut
     )
 
 
-@pytest.mark.parametrize("fast_cls,reference_cls", PAIRS)
 class TestFastMatchesReference:
+    @pytest.mark.parametrize("fast_cls,reference_cls", PAIRS)
     @given(scenario())
     @settings(max_examples=150, deadline=None)
     def test_identical_outcomes(self, fast_cls, reference_cls, instance):
@@ -144,24 +148,32 @@ class TestFastMatchesReference:
         reference = reference_cls().assign(visible, demands, n_sats, PLAN)
         assert_outcomes_identical(fast, reference)
 
+    @pytest.mark.parametrize("fast_cls,reference_cls", MULTI_STEP_PAIRS)
     @given(scenario(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_assign_csr_matches_assign(
         self, fast_cls, reference_cls, instance, data
     ):
         """``assign_csr`` after the CSR satellite filter equals the
-        reference ``assign`` after the per-cell list filter."""
+        reference ``assign`` after the per-cell list filter, over two
+        steps with one instance a side (sticky's second step keeps
+        satellites the new filter may have removed)."""
         visible, demands, n_sats = instance
-        keep = np.array(
-            data.draw(st.lists(st.booleans(), min_size=n_sats, max_size=n_sats))
-        )
         csr = CSRVisibility.from_lists(visible, n_satellites=n_sats)
-        via_csr = fast_cls().assign_csr(csr.filter_satellites(keep), demands, PLAN)
-        via_lists = reference_cls().assign(
-            [sats[keep[sats]] for sats in visible], demands, n_sats, PLAN
-        )
-        assert_outcomes_identical(via_csr, via_lists)
+        fast, reference = fast_cls(), reference_cls()
+        for _ in range(2):
+            keep = np.array(
+                data.draw(
+                    st.lists(st.booleans(), min_size=n_sats, max_size=n_sats)
+                )
+            )
+            via_csr = fast.assign_csr(csr.filter_satellites(keep), demands, PLAN)
+            via_lists = reference.assign(
+                [sats[keep[sats]] for sats in visible], demands, n_sats, PLAN
+            )
+            assert_outcomes_identical(via_csr, via_lists)
 
+    @pytest.mark.parametrize("fast_cls,reference_cls", PAIRS)
     @pytest.mark.parametrize("plan_index", range(len(SCARCE_PLANS)))
     @given(scenario())
     @settings(max_examples=80, deadline=None)
@@ -174,10 +186,13 @@ class TestFastMatchesReference:
         reference = reference_cls().assign(visible, demands, n_sats, plan)
         assert_outcomes_identical(fast, reference)
 
+    @pytest.mark.parametrize("fast_cls,reference_cls", MULTI_STEP_PAIRS)
     def test_every_satellite_drains(self, fast_cls, reference_cls):
         # Demand dwarfs supply on a dense relation: with one beam per
         # satellite every satellite dies mid-scan, so every later cell
-        # visit must consult the drained-satellite skip machinery.
+        # visit must consult the drained-satellite skip machinery. The
+        # second step reverses the demand order, so sticky cells find
+        # the satellite they kept drained by a hungrier cell.
         plan = SCARCE_PLANS[0]
         n_cells, n_sats = 12, 5
         visible = [
@@ -185,10 +200,13 @@ class TestFastMatchesReference:
         ]
         demands = np.full(n_cells, 4.0 * plan.beam_capacity_mbps)
         demands[::3] *= 0.5  # break symmetry in the scarcest-first order
-        fast = assign_lists(fast_cls(), visible, demands, n_sats, plan)
-        reference = reference_cls().assign(visible, demands, n_sats, plan)
-        assert_outcomes_identical(fast, reference)
-        assert fast.beams_used.sum() == n_sats  # all supply consumed
+        fast, reference = fast_cls(), reference_cls()
+        for step_demands in (demands, demands[::-1].copy()):
+            via_csr = assign_lists(fast, visible, step_demands, n_sats, plan)
+            assert_outcomes_identical(
+                via_csr, reference.assign(visible, step_demands, n_sats, plan)
+            )
+            assert via_csr.beams_used.sum() == n_sats  # all supply consumed
 
 
 class TestStickyMatchesReference:

@@ -77,6 +77,22 @@ class TestBadValues:
                 ["simulate", "--visibility-window", "abc"],
                 "argument --visibility-window: must be 'auto' or an integer",
             ),
+            (
+                ["sweep", "served", "--grid", "beamspread=nan"],
+                "sweep failed: grid axis 'beamspread': 'nan' is not a finite",
+            ),
+            (
+                ["sweep", "served", "--grid", "oversubscription=inf"],
+                "sweep failed: grid axis 'oversubscription': 'inf' is not",
+            ),
+            (
+                ["sweep", "tail", "--grid", "beamspread=nan"],
+                "sweep failed: grid axis 'beamspread': 'nan' is not a finite",
+            ),
+            (
+                ["sweep", "sizing", "--grid", "beamspread=1,inf"],
+                "sweep failed: grid axis 'beamspread': 'inf' is not a finite",
+            ),
         ],
     )
     def test_exits_2_with_one_error_line(self, argv, message, capsys):

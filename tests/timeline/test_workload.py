@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.orbits.shells import GEN1_SHELLS
+from repro.sim.assignment import STRATEGIES
 from repro.sim.engine import SimulationClock
 from repro.sim.simulation import ConstellationSimulation
 from repro.timeline import (
@@ -17,7 +18,11 @@ from repro.timeline import (
 )
 
 from tests.conftest import build_toy_dataset
-from tests.oracles.assignment import ReferenceGreedyDemandFirst
+from tests.oracles.assignment import (
+    ReferenceGreedyDemandFirst,
+    ReferenceProportionalFair,
+    ReferenceStickyGreedy,
+)
 from tests.oracles.simulation import reference_run
 
 SHELLS = list(GEN1_SHELLS[:1])
@@ -52,24 +57,48 @@ class TestConfig:
         assert not churny.identity_eligible
 
 
+#: (strategy, static path) cases; greedy, the default, keeps bare ids.
+FLAT_CASES = [
+    pytest.param(
+        strategy,
+        path,
+        id=path if strategy == "greedy" else f"{strategy}-{path}",
+    )
+    for strategy in ("greedy", "fair", "sticky")
+    for path in ("fast", "reference")
+]
+
+ORACLES = {
+    "greedy": ReferenceGreedyDemandFirst,
+    "fair": ReferenceProportionalFair,
+    "sticky": ReferenceStickyGreedy,
+}
+
+
 class TestFlatIdentity:
-    @pytest.mark.parametrize("static_path", ["fast", "reference"])
-    def test_flat_profile_reproduces_static_pipeline(self, dataset, static_path):
+    @pytest.mark.parametrize("strategy, static_path", FLAT_CASES)
+    def test_flat_profile_reproduces_static_pipeline(
+        self, dataset, strategy, static_path
+    ):
         """The differential: flat profile + no churn == static run, the
         static run made by :meth:`ConstellationSimulation.run` ("fast")
-        or by the reference step (``tests/oracles/simulation.py``)."""
-        config = TimelineConfig(duration_s=600.0, step_s=30.0)
+        or by the reference step and the strategy's oracle
+        (``tests/oracles/``)."""
+        config = TimelineConfig(duration_s=600.0, step_s=30.0, strategy=strategy)
         result = run_timeline(dataset, SHELLS, config)
         assert result.flat_identical is True
 
         static = ConstellationSimulation(
-            SHELLS, dataset, oversubscription=config.oversubscription
+            SHELLS,
+            dataset,
+            oversubscription=config.oversubscription,
+            strategy=STRATEGIES[strategy](),
         )
         clock = SimulationClock(duration_s=600.0, step_s=30.0)
         if static_path == "fast":
             metrics = static.run(clock)
         else:
-            metrics = reference_run(static, clock, ReferenceGreedyDemandFirst())
+            metrics = reference_run(static, clock, ORACLES[strategy]())
         report = static.report(metrics)
         assert result.report == report  # field-for-field, floats exact
 
